@@ -35,10 +35,7 @@ def as_sequence(entries) -> tuple:
 
 def word_matrix(entries) -> sl2.Mat2:
     """The product U^c0*S * U^c1*S * ... * U^c_{n-1}*S."""
-    m = sl2.I
-    for c in entries:
-        m = m @ sl2.u_pow(c) @ sl2.S
-    return m
+    return sl2.Mat2(*sl2.word_product(entries))
 
 
 def is_eta(entries) -> bool:
@@ -47,7 +44,7 @@ def is_eta(entries) -> bool:
     # cheap necessary condition first: n-2 triangles, 3 incidences each
     if sum(seq) != 3 * len(seq) - 6:
         return False
-    return word_matrix(seq) == -sl2.I
+    return sl2.word_product(seq) == (-1, 0, 0, -1)
 
 
 def is_eta_by_contraction(entries) -> bool:

@@ -119,25 +119,20 @@ def generate_matrix_frieze(entries) -> MatrixFriezeWindow:
     """
     seq = eta.as_sequence(entries)
     n = len(seq)
-    rows = [tuple(-sl2.S for _ in range(n)), tuple(sl2.u_pow(a) for a in seq)]
-    words = list(rows[1])  # words[j] = U^{a_{i+j-1}} S ... S U^{a_j}, i = current
+    # row 0 is -S, row 1 is U^{a_j}
+    rows = _diamond_rows((0, -1, 1, 0), [(1, 0, a, 1) for a in seq], n)
+    words = rows[1]  # words[j] = U^{a_{i+j-1}} S ... S U^{a_j}, i = current
     for i in range(2, n + 1):
-        above, twice_above = rows[i - 1], rows[i - 2]
-        row = []
+        # U^a*S == (0, 1, -1, a)
+        words = [sl2.mul((0, 1, -1, seq[(i + j - 1) % n]), words[j]) for j in range(n)]
         for j in range(n):
-            jn = (j + 1) % n
-            by_rule = above[jn] @ twice_above[jn].inverse() @ above[j]
-            by_word = sl2.u_pow(seq[(i + j - 1) % n]) @ sl2.S @ words[j]
-            if by_rule != by_word:
+            if rows[i][j] != words[j]:
                 raise NotQuiddityError(
                     f"matrix diamond rule and word product disagree at ({i},{j})",
                     row=i,
                     col=j,
                 )
-            row.append(by_rule)
-        words = row
-        rows.append(tuple(row))
-    return MatrixFriezeWindow(n=n, cells=tuple(rows))
+    return MatrixFriezeWindow(n=n, cells=tuple(_as_mat2(row) for row in rows))
 
 
 def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
@@ -147,17 +142,30 @@ def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
     generated by the matrix diamond rule alone.
     """
     row1 = tuple(row1)
+    rows = _diamond_rows(row0.entries(), [m.entries() for m in row1], depth)
+    return [(row0,) * len(row1), row1] + [_as_mat2(row) for row in rows[2:]]
+
+
+def _diamond_rows(row0, row1, depth: int) -> list:
+    """Rows 0..depth of the matrix diamond rule on (a, b, c, d) tuples.
+
+    Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j), with row 0
+    constant.
+    """
     n = len(row1)
-    rows = [(row0,) * n, row1]
-    for i in range(2, depth + 1):
-        above, twice_above = rows[i - 1], rows[i - 2]
-        rows.append(
-            tuple(
-                above[(j + 1) % n] @ twice_above[(j + 1) % n].inverse() @ above[j]
-                for j in range(n)
-            )
-        )
+    rows = [(row0,) * n, tuple(row1)]
+    for _ in range(2, depth + 1):
+        above, twice_above = rows[-1], rows[-2]
+        row = []
+        for j in range(n):
+            e, f, g, h = twice_above[(j + 1) % n]
+            row.append(sl2.mul(sl2.mul(above[(j + 1) % n], (h, -f, -g, e)), above[j]))
+        rows.append(tuple(row))
     return rows
+
+
+def _as_mat2(row) -> tuple:
+    return tuple(sl2.Mat2(*m) for m in row)
 
 
 def render_frieze(window: FriezeWindow) -> str:

@@ -51,9 +51,20 @@ ASYMMETRIC = "asymmetric"
 
 
 def brute_cap() -> int:
-    """Default cap on brute-force enumeration; FRIEZE_BRUTE_CAP overrides."""
+    """Default cap on brute-force enumeration; FRIEZE_BRUTE_CAP overrides.
+
+    Raises ValueError unless the variable, when set, is a positive integer.
+    """
     value = os.environ.get("FRIEZE_BRUTE_CAP")
-    return int(value) if value else DEFAULT_BRUTE_CAP
+    if not value:
+        return DEFAULT_BRUTE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FRIEZE_BRUTE_CAP must be a positive integer, got {value!r}")
+    return cap
 
 
 def catalan(k: int) -> int:

@@ -13,12 +13,22 @@ Conventions used throughout the package:
       U = [[1, 0], [1, 1]]       infinite order, U = S*T*T
 
   and ``U**a == [[1, 0], [a, 1]]``.
+
+``Mat2`` is the public, validated type: its constructor checks the
+determinant, so a matrix is validated where a user builds one and once
+per matrix the package returns.  Intermediate products never build a
+``Mat2``; they run on plain ``(a, b, c, d)`` int tuples, since a product
+of determinant-1 matrices has determinant 1.  One kernel,
+:func:`word_product`, multiplies out words U^x0*S * U^x1*S * ...; it
+serves ``eval_word``, ``eval_tokens``, ``TSNormalForm.to_matrix``,
+``eta.is_eta`` and ``eta.word_matrix``, and with :func:`mul` the matrix
+frieze in :mod:`quiddity.frieze`.  The Euclidean descent behind
+``ts_normal_form`` also runs on tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotUnimodularError
 
@@ -69,6 +79,10 @@ class Mat2:
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 
+    def entries(self) -> tuple:
+        """(a, b, c, d), the form the integer kernel works on."""
+        return self.a, self.b, self.c, self.d
+
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -83,6 +97,35 @@ V = Mat2(1, 1, 0, 1)  # upper translation, V = -S*T
 def u_pow(a: int) -> Mat2:
     """U**a without repeated multiplication."""
     return Mat2(1, 0, a, 1)
+
+
+IDENTITY = (1, 0, 0, 1)
+
+
+def word_product(exponents, start=IDENTITY) -> tuple:
+    """start * U^x0*S * U^x1*S * ... as an ``(a, b, c, d)`` int tuple.
+
+    The integer kernel behind every word product of the package; no
+    ``Mat2`` is built and no determinant is checked.
+    """
+    a, b, c, d = start
+    for x in exponents:
+        # [[a, b], [c, d]] * U^x * S
+        a, b, c, d = -b, a + b * x, -d, c + d * x
+    return a, b, c, d
+
+
+def mul(m, n) -> tuple:
+    """Product of two ``(a, b, c, d)`` int tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _times_u(m, x: int) -> tuple:
+    """m * U^x on tuples."""
+    a, b, c, d = m
+    return a + b * x, b, c + d * x, d
 
 
 @dataclass(frozen=True)
@@ -112,15 +155,13 @@ class SUWord:
 
 def eval_word(word: SUWord) -> Mat2:
     """Multiply out a structured word, leftmost factor first."""
-    m = S if word.prefix_s else I
-    n = len(word.factors)
-    for i, a in enumerate(word.factors):
-        m = m @ u_pow(a)
-        if i + 1 < n or word.trailing_s:
-            m = m @ S
-    if n == 0 and word.trailing_s:
-        m = m @ S
-    return m
+    m = (0, 1, -1, 0) if word.prefix_s else IDENTITY
+    factors = word.factors
+    if word.trailing_s:
+        return Mat2(*word_product(factors or (0,), m))  # U^0*S == S
+    if factors:
+        m = _times_u(word_product(factors[:-1], m), factors[-1])
+    return Mat2(*m)
 
 
 def eval_tokens(text: str) -> Mat2:
@@ -129,39 +170,39 @@ def eval_tokens(text: str) -> Mat2:
     ``U`` abbreviates ``U^1``; exponents may be negative.  Raises
     ValueError on anything else.
     """
-    m = I
+    exponents = []
+    x = 0  # exponent of the U run not yet closed by an S
     for tok in text.split("*"):
         tok = tok.strip()
         if tok == "S":
-            m = m @ S
+            exponents.append(x)
+            x = 0
         elif tok == "U":
-            m = m @ U
+            x += 1
         elif tok.startswith("U^"):
-            m = m @ u_pow(int(tok[2:]))
+            x += int(tok[2:])
         else:
             raise ValueError(f"bad word token: {tok!r}")
-    return m
+    return Mat2(*_times_u(word_product(exponents), x))
+
+
+_TORSION_ORDER = {-1: 3, 0: 4, 1: 6}
 
 
 def element_order(m: Mat2):
     """Exact order of m in SL2(Z): an int, or None for infinite order.
 
-    Trace classification does almost all the work; only |trace| < 2 needs
-    a power search, and torsion in SL2(Z) has order at most 12.
+    The trace decides it.  |trace| > 2 is hyperbolic and trace +-2 other
+    than +-I parabolic, both of infinite order.  For |trace| < 2,
+    Cayley-Hamilton (m^2 = trace*m - I) gives m^2 = -I at trace 0,
+    m^3 = I at trace -1 and m^3 = -I at trace 1, so the order is 4, 3 or 6.
     """
     if m == I:
         return 1
     tr = m.trace
     if tr == -2:
         return 2 if m == -I else None
-    if abs(tr) >= 2:
-        return None
-    p = m
-    for k in range(2, 13):
-        p = p @ m
-        if p == I:
-            return k
-    return None  # unreachable for |trace| < 2
+    return _TORSION_ORDER.get(tr)
 
 
 @dataclass(frozen=True)
@@ -179,12 +220,14 @@ class TSNormalForm:
     b1: int
 
     def to_matrix(self) -> Mat2:
-        m = T ** self.b0
+        # T == U^-1*S and S == U^0*S, so the form is one U/S word
+        exponents = [-1] * self.b0
         for e in self.exponents:
-            m = m @ S @ T ** e
-        if self.b1:
-            m = m @ S
-        return m if self.sign == 1 else -m
+            exponents += [0] + [-1] * e
+        exponents += [0] * self.b1
+        a, b, c, d = word_product(exponents)
+        s = self.sign
+        return Mat2(s * a, s * b, s * c, s * d)
 
     def __str__(self):
         parts = []
@@ -199,6 +242,15 @@ class TSNormalForm:
         return body if self.sign == 1 else "-" + body
 
 
+def _round_half_even(c: int, a: int) -> int:
+    """c/a rounded to the nearest integer, ties to even: round(Fraction(c, a))."""
+    q, r = divmod(c, a)  # c/a == q + r/a with 0 <= r/a < 1
+    twice, whole = abs(2 * r), abs(a)
+    if twice > whole or (twice == whole and q % 2):
+        q += 1
+    return q
+
+
 def _su_factorization(m: Mat2):
     """Peel m from the left into S and U^q factors by Euclidean descent.
 
@@ -208,23 +260,23 @@ def _su_factorization(m: Mat2):
     """
     sign = 1
     tokens = []
-    cur = m
-    while cur.c != 0:
-        if cur.a != 0:
-            q = round(Fraction(cur.c, cur.a))
+    a, b, c, d = m.entries()
+    while c != 0:
+        if a != 0:
+            q = _round_half_even(c, a)
             if q:
                 tokens.append(("U", q))
-                cur = u_pow(-q) @ cur
-            if cur.c == 0:
+                c, d = c - q * a, d - q * b  # U^-q * cur
+            if c == 0:
                 break
         tokens.append("S")
-        cur = S.inverse() @ cur
-    # cur is now [[e, b], [0, e]] with e = +-1, i.e. +-V^(e*b)
-    if cur.a == -1:
+        a, b, c, d = -c, -d, a, b  # S^-1 * cur
+    # now [[e, b], [0, e]] with e = +-1, i.e. +-V^(e*b)
+    if a == -1:
         sign = -sign
-        shift = -cur.b
+        shift = -b
     else:
-        shift = cur.b
+        shift = b
     if shift:
         # V^t == -S * U^-t * S
         sign = -sign
@@ -293,11 +345,10 @@ def ts_normal_form(m: Mat2) -> TSNormalForm:
 
 def check_conjugation_lemma(x: Mat2, a: int, b: int) -> bool:
     """Whether X*U^a*S == U^b*S*X (true only when a == b)."""
-    return x @ u_pow(a) @ S == u_pow(b) @ S @ x
+    m = x.entries()
+    return word_product((a,), m) == mul(word_product((b,)), m)
 
 
 def check_cancellation_identity(a: int, b: int) -> bool:
     """(U^(a+1)*S)(U*S)(U^(b+1)*S) == (U^a*S)(U^b*S), an identity in SL2(Z)."""
-    lhs = u_pow(a + 1) @ S @ U @ S @ u_pow(b + 1) @ S
-    rhs = u_pow(a) @ S @ u_pow(b) @ S
-    return lhs == rhs
+    return word_product((a + 1, 1, b + 1)) == word_product((a, b))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InconsistentFactorsError, NotAPositiveTilingError
+from .errors import InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,23 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
     factors, and finally every cell is checked against both three-term
     relations and every 2x2 minor against unimodularity; any disagreement
     raises InconsistentFactorsError.  Nonpositive values are allowed and
-    simply reported by the window's ``is_positive``.
+    simply reported by the window's ``is_positive``.  ``k`` must hold every
+    interior column j0+1..j1-1 and ``l`` every interior row i0+1..i1-1;
+    a missing index raises InvalidSequenceError.
     """
     (s00, s01), (s10, s11) = seed
     if s00 * s11 - s01 * s10 != 1:
         raise InconsistentFactorsError("seed 2x2 block must have determinant 1")
     if not (i0 <= 0 and 1 <= i1 and j0 <= 0 and 1 <= j1):
         raise InconsistentFactorsError("window must contain the seed cells (0..1, 0..1)")
+    for what, factors, x, lo, hi in (("column factor k", k, "j", j0, j1),
+                                     ("row factor l", l, "i", i0, i1)):
+        missing = [idx for idx in range(lo + 1, hi) if idx not in factors]
+        if missing:
+            raise InvalidSequenceError(
+                f"{what}[{x}] missing for {x} = {', '.join(map(str, missing))}"
+                f" (the window needs {x} = {lo + 1}..{hi - 1})"
+            )
 
     ncols = j1 - j0 + 1
     grid = {(0, 0): s00, (0, 1): s01, (1, 0): s10, (1, 1): s11}

@@ -248,6 +248,35 @@ def test_tiling_from_files(capsys, tmp_path):
     assert payload["values"][2] == [4, 3, 2, 3, 4]
 
 
+def test_tiling_factor_file_lacks_an_index(capsys, tmp_path):
+    kfile = tmp_path / "k.json"
+    lfile = tmp_path / "l.json"
+    kfile.write_text(json.dumps({"1": 2}))
+    lfile.write_text(json.dumps({str(i): 2 for i in range(-1, 4)}))
+    code, out, err = run(
+        capsys,
+        "tiling",
+        "--seed",
+        "1,1,1,2",
+        "--kfile",
+        str(kfile),
+        "--lfile",
+        str(lfile),
+        "--window=-2:4,-2:4",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: column factor k[j] missing for j = -1, 0, 2, 3 (the window needs j = -1..3)\n"
+    )
+
+
+def test_brute_cap_env_must_be_a_positive_integer(capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZE_BRUTE_CAP", "abc")
+    code, out, err = run(capsys, "count", "--n", "8", "--method", "brute")
+    assert (code, out) == (2, "")
+    assert err == "error: FRIEZE_BRUTE_CAP must be a positive integer, got 'abc'\n"
+
+
 def test_tiling_missing_pieces(capsys):
     code, _, err = run(capsys, "tiling", "--window=0:1,0:1")
     assert code == 2

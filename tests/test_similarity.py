@@ -208,6 +208,12 @@ class TestCountTypes:
         # an explicit cap argument wins over the environment
         assert count_types(6, method="brute", cap=6) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_brute_cap_rejects_non_positive_integers(self, monkeypatch, value):
+        monkeypatch.setenv("FRIEZE_BRUTE_CAP", value)
+        with pytest.raises(ValueError, match=rf"FRIEZE_BRUTE_CAP must be a positive integer, got '{value}'"):
+            count_types(6, method="brute")
+
     def test_bad_method(self):
         with pytest.raises(ValueError):
             count_types(6, method="magic")

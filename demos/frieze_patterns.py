@@ -32,7 +32,7 @@ for i, j in [(3, 0), (4, 2), (5, 5)]:
           f"(table says {window.rows[i][j]})")
 print()
 
-print("a non-quiddity row 2 fails: the diamond rule needs exact divisions")
+print("a non-quiddity row 2 fails: the diamond rule meets a zero divisor")
 try:
     frieze.generate_frieze((1, 1, 1, 1, 1))
 except Exception as exc:

@@ -181,10 +181,11 @@ def cmd_tree(args) -> int:
     t = polygons.from_quiddity(seq)
     root = None
     if args.root:
-        parts = args.root.split(",")
-        if len(parts) != 2:
-            raise InvalidSequenceError(f"--root wants 'u,v', got {args.root!r}")
-        root = (int(parts[0]), int(parts[1]))
+        try:
+            u, v = (int(x) for x in args.root.split(","))
+        except ValueError as exc:
+            raise InvalidSequenceError(f"--root wants 'u,v', got {args.root!r}") from exc
+        root = (u, v)
     tree = polygons.to_dual_tree(t, root_side=root)
     if args.format == "json":
         payload = t.to_json_dict()

@@ -15,7 +15,7 @@ class NotQuiddityError(ValueError):
     """A sequence required to be a quiddity sequence is not one.
 
     When raised by frieze generation, ``row`` and ``col`` locate the cell
-    whose diamond-rule division failed; both are None when the failure is
+    whose diamond-rule divisor is zero; both are None when the failure is
     global (no all-ones row).
     """
 

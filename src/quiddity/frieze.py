@@ -8,9 +8,13 @@ satisfying
 
 For a quiddity sequence of length n the rows are eventually forced back to
 all ones (row n-1) and all zeros (row n); one period of rows 0..n is what a
-FriezeWindow stores.  Row entries also arise as continuants: phi(k+1, j) is
-the determinant of the k x k tridiagonal matrix with diagonal
-a_j, ..., a_{j+k-1} and unit off-diagonals.
+FriezeWindow stores.  Row entries are continuants: phi(k+1, j) is the
+determinant of the k x k tridiagonal matrix with diagonal a_j, ..., a_{j+k-1}
+and unit off-diagonals, so whole rows follow from the three-term recurrence
+phi(i, j) = a_{j+i-2} * phi(i-1, j) - phi(i-2, j).  The continuant identity
+K(x_1..x_{m+1}) K(x_2..x_m) - K(x_1..x_m) K(x_2..x_{m+1}) = -1 makes these
+rows satisfy the diamond rule at every cell, so the only way to fail the rule
+solved for the lower cell is a zero divisor phi(i-2, j+1).
 
 The matrix analogue replaces the diamond rule by
 Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j) with constant row 0.
@@ -39,34 +43,25 @@ class FriezeWindow:
 
 
 def generate_frieze(entries) -> FriezeWindow:
-    """Run the diamond rule downwards from the given row 2.
+    """Rows 0..n of the frieze with the given row 2, by the continuant recurrence.
 
-    Works for any positive sequence until a division fails; a zero divisor
-    or a non-exact division raises NotQuiddityError carrying the failing
-    cell.  Valid quiddity input always completes with exact divisions.
+    Row i is a_{j+i-2} * phi(i-1, j) - phi(i-2, j) across the rotated
+    sequence; these rows satisfy the diamond rule at every cell.  Solving
+    the rule for phi(i, j) divides by phi(i-2, j+1), so a zero in row i-2
+    is the only failure: it raises NotQuiddityError at the first such cell
+    (i, j) in row order.  Works for any positive sequence; valid quiddity
+    input always completes.
     """
     seq = eta.as_sequence(entries)
     n = len(seq)
     rows = [(0,) * n, (1,) * n, seq]
     for i in range(3, n + 1):
         above, twice_above = rows[i - 1], rows[i - 2]
-        row = []
-        for j in range(n):
-            divisor = twice_above[(j + 1) % n]
-            if divisor == 0:
-                raise NotQuiddityError(
-                    f"zero divisor at cell ({i},{j})", row=i, col=j
-                )
-            num = above[(j + 1) % n] * above[j] - 1
-            q, r = divmod(num, divisor)
-            if r:
-                raise NotQuiddityError(
-                    f"non-exact division at cell ({i},{j}): {num}/{divisor}",
-                    row=i,
-                    col=j,
-                )
-            row.append(q)
-        rows.append(tuple(row))
+        if 0 in twice_above:
+            j = min((c - 1) % n for c, x in enumerate(twice_above) if x == 0)
+            raise NotQuiddityError(f"zero divisor at cell ({i},{j})", row=i, col=j)
+        rotated = seq[i - 2:] + seq[:i - 2]
+        rows.append(tuple([a * x - y for a, x, y in zip(rotated, above, twice_above)]))
     return FriezeWindow(n=n, rows=tuple(rows))
 
 

@@ -16,6 +16,12 @@ leaves of the depth-first traversal recovers the quiddity sequence.
 Exhaustive enumeration of all triangulations (there are C_{n-2} of them,
 Catalan) is deterministic: recursion on the apex of the triangle resting
 on the base edge, apex increasing, left sub-polygon before right.
+
+A given triangulation is walked the same way with one apex lookup shared
+by ``triangles`` and ``to_dual_tree``: the triangle resting on an edge
+(lo, hi) has as apex the largest neighbour of lo below hi.  The other
+direction, ``from_quiddity``, is a linear ear clipper, and
+``validate_triangulation`` finds crossings with one sorted stack sweep.
 """
 
 from __future__ import annotations
@@ -45,8 +51,30 @@ def _crosses(d1, d2) -> bool:
     return (a < c < b < d) or (c < a < d < b)
 
 
+def _crossing_free(diagonals) -> bool:
+    """Whether no two chords cross, by one sweep over them sorted by (u, -v).
+
+    The stack holds the right ends of the chords still open at u, which
+    are nested; a new chord crosses an earlier one exactly when it ends
+    beyond the innermost of them.
+    """
+    ends = []
+    for u, neg_v in sorted((u, -v) for u, v in diagonals):
+        while ends and ends[-1] <= u:
+            ends.pop()
+        if ends and ends[-1] < -neg_v:
+            return False
+        ends.append(-neg_v)
+    return True
+
+
 def validate_triangulation(t: Triangulation) -> None:
-    """Check ranges, non-adjacency, non-crossing and the n-3 count."""
+    """Check ranges, non-adjacency, non-crossing and the n-3 count.
+
+    Crossings are found by one sorted sweep; only a set that has one is
+    scanned pair by pair, to name its first crossing pair in the given
+    order.
+    """
     n = t.n
     if n < 3:
         raise InvalidSequenceError(f"polygon needs at least 3 vertices, got {n}")
@@ -66,6 +94,8 @@ def validate_triangulation(t: Triangulation) -> None:
         raise InvalidSequenceError(
             f"expected {n - 3} diagonals for an {n}-gon, got {len(t.diagonals)}"
         )
+    if _crossing_free(t.diagonals):
+        return
     diags = list(t.diagonals)
     for i in range(len(diags)):
         for j in range(i + 1, len(diags)):
@@ -79,25 +109,37 @@ def make_triangulation(n: int, diagonals) -> Triangulation:
     return t
 
 
+def _apexes(n: int, chords) -> dict:
+    """Map each edge (lo, hi) of a triangulated n-gon to the apex of its triangle.
+
+    The triangle resting on (lo, hi) inside the arc lo..hi has as apex the
+    largest neighbour of lo below hi, which is the neighbour listed just
+    before hi once the edges are sorted.  An edge whose candidate is not
+    joined to hi has no triangle and no entry (a malformed set).
+    """
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)} | set(chords)
+    ordered = sorted(edges)
+    return {
+        (u, v): w
+        for (u, w), (x, v) in zip(ordered, ordered[1:])
+        if u == x and (w, v) in edges
+    }
+
+
 def triangles(t: Triangulation):
     """The n-2 triangles as sorted vertex triples, in arc-recursion order."""
-    chords = set(t.diagonals)
-
-    def has_edge(u, v):
-        return v - u == 1 or (u, v) in chords
-
+    apexes = _apexes(t.n, t.diagonals)
     out = []
 
     def rec(lo, hi):
         if hi - lo < 2:
             return
-        for apex in range(lo + 1, hi):
-            if has_edge(lo, apex) and has_edge(apex, hi):
-                out.append((lo, apex, hi))
-                rec(lo, apex)
-                rec(apex, hi)
-                return
-        raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
+        apex = apexes.get((lo, hi))
+        if apex is None:
+            raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
+        out.append((lo, apex, hi))
+        rec(lo, apex)
+        rec(apex, hi)
 
     rec(0, t.n - 1)
     return out
@@ -116,30 +158,35 @@ def to_quiddity(t: Triangulation) -> tuple:
 def from_quiddity(entries) -> Triangulation:
     """The triangulation whose vertex counts equal the given sequence.
 
-    Built by repeated ear clipping: an entry 1 marks an ear; cutting it
-    off adds the diagonal joining its neighbours and decrements them.
-    The sequence must be a valid quiddity sequence.
+    Built by one linear ear clipper: an entry 1 marks an ear; cutting it
+    off adds the diagonal joining its neighbours, decrements them and
+    puts a neighbour that drops to 1 on the worklist of ears.  Neighbours
+    are kept in prev/next arrays.  The sequence must be a valid quiddity
+    sequence; its triangulation is unique, so the order in which ears are
+    cut does not change the diagonals.
     """
     seq = eta.as_sequence(entries)
     if not eta.is_eta(seq):
         raise NotQuiddityError(f"{eta.format_sequence(seq)} is not a quiddity sequence")
     n = len(seq)
-    labels = list(range(n))
     counts = list(seq)
+    prev = [n - 1] + list(range(n - 1))
+    nxt = list(range(1, n)) + [0]
+    ears = [i for i, c in enumerate(seq) if c == 1]
     diagonals = []
-    while len(labels) > 3:
-        m = len(labels)
-        for i in range(m):
-            if counts[i] == 1:
-                u, v = labels[i - 1], labels[(i + 1) % m]
-                diagonals.append((min(u, v), max(u, v)))
-                counts[i - 1] -= 1
-                counts[(i + 1) % m] -= 1
-                del counts[i]
-                del labels[i]
-                break
-        else:  # cannot happen for valid input
+    for _ in range(n - 3):
+        if not ears:  # cannot happen for valid input
             raise NotQuiddityError("ear clipping stalled on a valid sequence")
+        i = ears.pop()
+        u, v = prev[i], nxt[i]
+        diagonals.append((u, v) if u < v else (v, u))
+        nxt[u], prev[v] = v, u
+        counts[u] -= 1
+        counts[v] -= 1
+        if counts[u] == 1:
+            ears.append(u)
+        if counts[v] == 1:
+            ears.append(v)
     return Triangulation(n=n, diagonals=tuple(sorted(diagonals)))
 
 
@@ -259,21 +306,20 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     else:
         raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
     # relabel so the root side becomes (n-1, 0)
-    chords = set()
+    chords = []
     for a, b in t.diagonals:
         x, y = (a - start) % n, (b - start) % n
-        chords.add((min(x, y), max(x, y)))
+        chords.append((x, y) if x < y else (y, x))
+    apexes = _apexes(n, chords)
 
-    def has_edge(a, b):
-        return b - a == 1 or (a, b) in chords
-
-    def build(lo, hi):
-        if hi - lo == 1:
-            return Leaf(lo)
-        for apex in range(lo + 1, hi):
-            if has_edge(lo, apex) and has_edge(apex, hi):
-                return Branch(build(lo, apex), build(apex, hi))
-        raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
+    def build(lo, hi):  # the triangle on edge (lo, hi), hi - lo >= 2
+        apex = apexes.get((lo, hi))
+        if apex is None:
+            raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
+        return Branch(
+            Leaf(lo) if apex - lo == 1 else build(lo, apex),
+            Leaf(apex) if hi - apex == 1 else build(apex, hi),
+        )
 
     return DualTree(n=n, root=build(0, n - 1), root_side=(u, v))
 

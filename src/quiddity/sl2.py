@@ -30,7 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotUnimodularError
+from .errors import InvalidSequenceError, NotUnimodularError
+
+# ts_normal_form expands its S/U word into S/T letters (2*|q| for U^q)
+# before collapsing them; larger words are refused instead of expanded.
+NORMAL_FORM_LETTER_CAP = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,9 +317,15 @@ def ts_normal_form(m: Mat2) -> TSNormalForm:
     Pipeline: Euclidean descent gives an S/U word, U = S*T^2 and
     U^-1 = -T*S turn it into S/T letters, and the group relations
     collapse the letters into the alternating form.  The result always
-    re-evaluates to m.
+    re-evaluates to m.  A word of more than NORMAL_FORM_LETTER_CAP
+    letters raises InvalidSequenceError before any letter is written.
     """
     sign, su = _su_factorization(m)
+    size = sum(1 if tok == "S" else 2 * abs(tok[1]) for tok in su)
+    if size > NORMAL_FORM_LETTER_CAP:
+        raise InvalidSequenceError(
+            f"normal form needs {size} S/T letters, over the limit of {NORMAL_FORM_LETTER_CAP}"
+        )
     letters = []
     for tok in su:
         if tok == "S":

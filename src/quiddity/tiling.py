@@ -19,6 +19,11 @@ The closed-form example tiling
 
 is fractured exactly at row 0 and column 0 and is used as a test bed.
 All windows here are finite inclusive rectangles [i0..i1] x [j0..j1].
+
+The code works on the row tuples of ``TilingWindow.values``.  Column
+factors are the row factors of the transposed window, so one helper reads
+both, and one three-term propagation on vectors fills the seed rows column
+by column and then the window row by row.
 """
 
 from __future__ import annotations
@@ -94,42 +99,43 @@ def extract_factors(window: TilingWindow) -> FactorVectors:
     Each interior column factor is computed from the first row and then
     checked against every other row (and symmetrically for row factors);
     a non-integer ratio or any disagreement means the window is not part
-    of a positive tiling.
+    of a positive tiling.  Column factors are the row factors of the
+    transposed window, so one helper reads both, columns first.
     """
     if not window.is_positive:
         raise NotAPositiveTilingError("window has entries < 1")
-    factors = FactorVectors()
-    for j in range(window.j0 + 1, window.j1):
-        kj = None
-        for i in range(window.i0, window.i1 + 1):
-            total = window.value(i, j - 1) + window.value(i, j + 1)
-            q, r = divmod(total, window.value(i, j))
-            if r:
+    rows = window.values
+    return FactorVectors(
+        k=_line_factors(list(zip(*rows)), window.j0, window.i0, "column", "row"),
+        l=_line_factors(rows, window.i0, window.j0, "row", "column"),
+    )
+
+
+def _line_factors(lines, first: int, cross_first: int, what: str, across: str) -> dict:
+    """Factors f with f * lines[p] == lines[p-1] + lines[p+1] entry by entry.
+
+    ``lines`` are the rows (for row factors) or the columns (for column
+    factors) of a positive window; line p has index first + p and entry t
+    of a line has index cross_first + t.  Each factor is read off entry 0
+    and checked on every entry in order; the first failing entry is named.
+    """
+    found = {}
+    for p in range(1, len(lines) - 1):
+        above, line, below = lines[p - 1], lines[p], lines[p + 1]
+        f = (above[0] + below[0]) // line[0]
+        for t in range(len(line)):
+            if f * line[t] != above[t] + below[t]:
+                q, r = divmod(above[t] + below[t], line[t])
+                if r:
+                    raise NotAPositiveTilingError(
+                        f"{what} {first + p}: non-integer factor at {across} {cross_first + t}"
+                    )
                 raise NotAPositiveTilingError(
-                    f"column {j}: non-integer factor at row {i}"
+                    f"{what} {first + p}: factor {q} at {across} {cross_first + t}"
+                    f" disagrees with {f}"
                 )
-            if kj is None:
-                kj = q
-            elif q != kj:
-                raise NotAPositiveTilingError(
-                    f"column {j}: factor {q} at row {i} disagrees with {kj}"
-                )
-        factors.k[j] = kj
-    for i in range(window.i0 + 1, window.i1):
-        li = None
-        for j in range(window.j0, window.j1 + 1):
-            total = window.value(i - 1, j) + window.value(i + 1, j)
-            q, r = divmod(total, window.value(i, j))
-            if r:
-                raise NotAPositiveTilingError(f"row {i}: non-integer factor at column {j}")
-            if li is None:
-                li = q
-            elif q != li:
-                raise NotAPositiveTilingError(
-                    f"row {i}: factor {q} at column {j} disagrees with {li}"
-                )
-        factors.l[i] = li
-    return factors
+        found[first + p] = f
+    return found
 
 
 def fractures(factors: FactorVectors):
@@ -144,7 +150,7 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
 
     The seed occupies cells (0,0), (0,1), (1,0), (1,1), which must lie in
     the window.  Rows 0 and 1 are propagated horizontally with the column
-    factors, every column is then propagated vertically with the row
+    factors, whole rows are then propagated vertically with the row
     factors, and finally every cell is checked against both three-term
     relations and every 2x2 minor against unimodularity; any disagreement
     raises InconsistentFactorsError.  Nonpositive values are allowed and
@@ -166,34 +172,45 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
                 f" (the window needs {x} = {lo + 1}..{hi - 1})"
             )
 
+    # columns j0..j1 of rows 0 and 1, then every row, as whole vectors
+    row0, row1 = zip(*_propagate((s00, s10), (s01, s11), k, j0, j1))
+    rows = _propagate(row0, row1, l, i0, i1)
     ncols = j1 - j0 + 1
-    grid = {(0, 0): s00, (0, 1): s01, (1, 0): s10, (1, 1): s11}
-    for i in (0, 1):
-        for j in range(1, j1):  # rightwards: alpha(i, j+1) = k_j*alpha(i, j) - alpha(i, j-1)
-            grid[i, j + 1] = k[j] * grid[i, j] - grid[i, j - 1]
-        for j in range(0, j0, -1):  # leftwards
-            grid[i, j - 1] = k[j] * grid[i, j] - grid[i, j + 1]
-    for j in range(j0, j1 + 1):
-        for i in range(1, i1):  # downwards: alpha(i+1, j) = l_i*alpha(i, j) - alpha(i-1, j)
-            grid[i + 1, j] = l[i] * grid[i, j] - grid[i - 1, j]
-        for i in range(0, i0, -1):  # upwards
-            grid[i - 1, j] = l[i] * grid[i, j] - grid[i + 1, j]
-
-    window = window_from_values(
-        i0, j0, [[grid[i, j] for j in range(j0, j1 + 1)] for i in range(i0, i1 + 1)]
-    )
-    for i in range(i0, i1 + 1):
-        for j in range(j0 + 1, j1):
-            if k[j] * window.value(i, j) != window.value(i, j - 1) + window.value(i, j + 1):
+    ks = [k[j] for j in range(j0 + 1, j1)]
+    for i, row in enumerate(rows, i0):
+        for c in range(1, ncols - 1):
+            if ks[c - 1] * row[c] != row[c - 1] + row[c + 1]:
+                j = j0 + c
                 raise InconsistentFactorsError(
                     f"column relation fails at ({i},{j}) for k[{j}]={k[j]}"
                 )
-    for i in range(i0 + 1, i1):
-        for j in range(j0, j1 + 1):
-            if l[i] * window.value(i, j) != window.value(i - 1, j) + window.value(i + 1, j):
+    for r in range(1, len(rows) - 1):
+        above, row, below = rows[r - 1], rows[r], rows[r + 1]
+        i = i0 + r
+        f = l[i]
+        for c in range(ncols):
+            if f * row[c] != above[c] + below[c]:
                 raise InconsistentFactorsError(
-                    f"row relation fails at ({i},{j}) for l[{i}]={l[i]}"
+                    f"row relation fails at ({i},{j0 + c}) for l[{i}]={f}"
                 )
+    window = window_from_values(i0, j0, rows)
     if not window.unimodular_everywhere():
         raise InconsistentFactorsError("generated window violates unimodularity")
     return window
+
+
+def _propagate(v0, v1, factors: dict, lo: int, hi: int) -> list:
+    """Vectors x(lo..hi) of x(t+1) = factors[t]*x(t) - x(t-1), entry by entry.
+
+    Starts from x(0) = v0 and x(1) = v1 and also runs leftwards, as
+    x(t-1) = factors[t]*x(t) - x(t+1).
+    """
+    right = [v0, v1]
+    for t in range(1, hi):
+        f = factors[t]
+        right.append([f * y - x for x, y in zip(right[-2], right[-1])])
+    left = [v1, v0]
+    for t in range(0, lo, -1):
+        f = factors[t]
+        left.append([f * y - x for x, y in zip(left[-2], left[-1])])
+    return left[:1:-1] + right

@@ -212,6 +212,21 @@ def test_tree_rejects_invalid(capsys):
     assert code == 1
 
 
+def test_tree_bad_root(capsys):
+    for root in ("a,b", "1,2,3"):
+        code, out, err = run(capsys, "tree", "1,2,2,1,3", "--root", root)
+        assert (code, out) == (2, "")
+        assert err == f"error: --root wants 'u,v', got '{root}'\n"
+
+
+def test_reduce_over_the_letter_limit(capsys):
+    code, out, err = run(capsys, "reduce", "U^4000000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: normal form needs 8000000 S/T letters, over the limit of 100000\n"
+    )
+
+
 def test_tiling_formula(capsys):
     code, out, _ = run(capsys, "tiling", "--formula-paper", "--window=-2:2,-2:2")
     assert code == 0

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity import eta, frieze, sl2
 from quiddity.errors import NotQuiddityError
+
+# Shared machines stall for long stretches; a deadline would time the machine.
+relaxed = settings(deadline=None)
 
 PATTERN_I = (4, 2, 1, 3, 2, 2, 1)
 
@@ -67,7 +72,7 @@ def test_quiddity_row_of_ones_does_not_count_for_long_sequences():
 def test_division_failure_carries_cell():
     with pytest.raises(NotQuiddityError) as err:
         frieze.generate_frieze((1, 1, 1, 1, 1))
-    assert err.value.row == 5 and err.value.col is not None
+    assert (str(err.value), err.value.row, err.value.col) == ("zero divisor at cell (5,0)", 5, 0)
 
 
 def test_formal_row_above_zero_row():
@@ -193,3 +198,96 @@ def test_matrix_and_integer_friezes_consistent(quiddities_by_n):
             for i in range(1, n + 1):
                 for j in range(n):
                     assert mw.cell(i - 1, j).c == w.rows[i][j]
+
+
+def dividing_frieze(seq):
+    """Reference: the diamond rule solved for the lower cell by exact division.
+
+    phi(i, j) = (phi(i-1, j+1) * phi(i-1, j) - 1) / phi(i-2, j+1), row by
+    row, failing at the first zero divisor or inexact quotient.
+    """
+    n = len(seq)
+    rows = [(0,) * n, (1,) * n, tuple(seq)]
+    for i in range(3, n + 1):
+        above, twice_above = rows[i - 1], rows[i - 2]
+        row = []
+        for j in range(n):
+            divisor = twice_above[(j + 1) % n]
+            if divisor == 0:
+                raise NotQuiddityError(f"zero divisor at cell ({i},{j})", row=i, col=j)
+            num = above[(j + 1) % n] * above[j] - 1
+            q, r = divmod(num, divisor)
+            if r:
+                raise NotQuiddityError(
+                    f"non-exact division at cell ({i},{j}): {num}/{divisor}", row=i, col=j
+                )
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def outcome(make, seq):
+    """The rows, or the (message, row, col) of the NotQuiddityError raised."""
+    try:
+        result = make(seq)
+    except NotQuiddityError as exc:
+        return str(exc), exc.row, exc.col
+    return getattr(result, "rows", result)
+
+
+positive_sequences = st.lists(st.integers(1, 6), min_size=3, max_size=16)
+
+
+@st.composite
+def same_sum_sequences(draw):
+    """Positive sequences with the quiddity sum 3n - 6, mostly invalid."""
+    n = draw(st.integers(3, 18))
+    seq = [1] * n
+    for p in draw(st.lists(st.integers(0, n - 1), min_size=2 * n - 6, max_size=2 * n - 6)):
+        seq[p] += 1
+    return seq
+
+
+@st.composite
+def quiddities(draw):
+    """A quiddity sequence grown from (1, 1, 1) by random expansions."""
+    seq = (1, 1, 1)
+    for _ in range(draw(st.integers(0, 20))):
+        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
+    return seq
+
+
+@relaxed
+@given(st.one_of(positive_sequences, same_sum_sequences(), quiddities()))
+def test_generate_frieze_matches_dividing_rule(seq):
+    assert outcome(frieze.generate_frieze, seq) == outcome(dividing_frieze, seq)
+
+
+@relaxed
+@given(quiddities(), st.integers(2, 4))
+def test_short_period_imposters_match_dividing_rule(q, k):
+    # q repeated k times keeps the sum per period but is never a quiddity
+    seq = q * k
+    got = outcome(frieze.generate_frieze, seq)
+    assert got == outcome(dividing_frieze, seq)
+    assert isinstance(got[0], str)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_one_two_imposters_match_dividing_rule(k):
+    seq = (1, 2) * k
+    assert outcome(frieze.generate_frieze, seq) == outcome(dividing_frieze, seq)
+
+
+@relaxed
+@given(st.one_of(positive_sequences, same_sum_sequences(), quiddities()))
+def test_every_cell_is_the_continuant_of_its_window(seq):
+    try:
+        w = frieze.generate_frieze(seq)
+    except NotQuiddityError:
+        return
+    n = len(seq)
+    for i in range(1, n + 1):
+        for j in range(n):
+            window = [seq[(j + t) % n] for t in range(i - 1)]
+            assert w.rows[i][j] == frieze.continuant(window), (seq, i, j)

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity import eta, polygons
 from quiddity.errors import InvalidSequenceError, NotQuiddityError
@@ -174,3 +177,110 @@ def test_dot_outputs():
 def test_json_dict():
     t = polygons.from_quiddity((1, 2, 2, 1, 3))
     assert t.to_json_dict() == {"n": 5, "diagonals": [[1, 4], [2, 4]]}
+
+
+# Shared machines stall for long stretches; a deadline would time the machine.
+relaxed = settings(deadline=None)
+
+
+@st.composite
+def quiddities(draw, max_n):
+    """A quiddity sequence grown from (1, 1, 1) by random expansions."""
+    seq = (1, 1, 1)
+    for _ in range(draw(st.integers(0, max_n - 3))):
+        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
+    return seq
+
+
+def pairwise_crossing_message(diagonals):
+    """Reference: the first crossing pair (i < j) in the given order, or None."""
+    for i in range(len(diagonals)):
+        for j in range(i + 1, len(diagonals)):
+            (a, b), (c, d) = diagonals[i], diagonals[j]
+            if a < c < b < d or c < a < d < b:
+                return f"diagonals {diagonals[i]} and {diagonals[j]} cross"
+    return None
+
+
+def validation_message(t):
+    try:
+        polygons.validate_triangulation(t)
+    except InvalidSequenceError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def diagonal_sets(draw):
+    """n - 3 distinct diagonals of the n-gon, shuffled; crossings likely."""
+    n = draw(st.integers(4, 14))
+    every = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+    chosen = draw(st.permutations(every))[: n - 3]
+    return n, tuple(chosen)
+
+
+@relaxed
+@given(diagonal_sets(), st.booleans())
+def test_crossing_message_matches_pairwise_scan(case, ordered):
+    n, diagonals = case
+    if ordered:
+        diagonals = tuple(sorted(diagonals))
+    t = polygons.Triangulation(n=n, diagonals=diagonals)
+    assert validation_message(t) == pairwise_crossing_message(diagonals)
+
+
+@relaxed
+@given(quiddities(40), st.randoms(use_true_random=False))
+def test_shuffled_triangulations_validate(q, rnd):
+    diagonals = list(polygons.from_quiddity(q).diagonals)
+    rnd.shuffle(diagonals)
+    assert validation_message(polygons.Triangulation(n=len(q), diagonals=tuple(diagonals))) is None
+
+
+def test_crossing_message_names_the_first_pair():
+    t = polygons.Triangulation(n=8, diagonals=((2, 6), (0, 2), (3, 5), (1, 4), (0, 5)))
+    assert validation_message(t) == "diagonals (2, 6) and (1, 4) cross"
+
+
+def first_apex_triangles(t):
+    """Reference: triangles by trying every apex on each chord, lowest first."""
+    chords = set(t.diagonals)
+
+    def edge(u, v):
+        return v - u == 1 or (u, v) in chords
+
+    out = []
+
+    def rec(lo, hi):
+        if hi - lo < 2:
+            return
+        apex = next(a for a in range(lo + 1, hi) if edge(lo, a) and edge(a, hi))
+        out.append((lo, apex, hi))
+        rec(lo, apex)
+        rec(apex, hi)
+
+    rec(0, t.n - 1)
+    return out
+
+
+@relaxed
+@given(quiddities(200))
+def test_round_trip_up_to_200_gon(q):
+    t = polygons.from_quiddity(q)
+    assert polygons.to_quiddity(t) == q
+    assert polygons.triangles(t) == first_apex_triangles(t)
+
+
+@relaxed
+@given(quiddities(40))
+def test_tree_readout_on_every_root_side(q):
+    n = len(q)
+    t = polygons.from_quiddity(q)
+    for u in range(n):
+        tree = polygons.to_dual_tree(t, root_side=(u, (u + 1) % n))
+        assert polygons.tree_quiddity(tree) == eta.rotate(q, (u + 1) % n)
+
+
+def test_triangles_of_a_malformed_set_raise():
+    with pytest.raises(InvalidSequenceError, match=r"no triangle on chord \(0,4\)"):
+        polygons.triangles(polygons.Triangulation(n=5, diagonals=()))

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from quiddity import sl2
-from quiddity.errors import NotUnimodularError
+from quiddity import eta, sl2
+from quiddity.errors import InvalidSequenceError, NotUnimodularError
 from quiddity.sl2 import I, S, T, U, Mat2, SUWord
 
 
@@ -177,3 +177,36 @@ def test_cancellation_identity_sweep():
         for a in range(-10, 11)
         for b in range(-10, 11)
     )
+
+
+def _letters(m):
+    """S/T letters ts_normal_form expands m into: 1 per S, 2*|q| per U^q."""
+    _, tokens = sl2._su_factorization(m)
+    return sum(1 if tok == "S" else 2 * abs(tok[1]) for tok in tokens)
+
+
+def test_normal_form_letter_limit():
+    limit = sl2.NORMAL_FORM_LETTER_CAP
+    at_limit = sl2.eval_tokens(f"U^{limit // 2}")
+    assert _letters(at_limit) == limit
+    assert sl2.ts_normal_form(at_limit).to_matrix() == at_limit
+    over = sl2.eval_tokens(f"U^-{limit // 2}*S*U")
+    assert _letters(over) > limit
+    with pytest.raises(InvalidSequenceError, match=f"over the limit of {limit}$"):
+        sl2.ts_normal_form(over)
+    with pytest.raises(InvalidSequenceError, match="needs 2000000000 S/T letters"):
+        sl2.ts_normal_form(sl2.eval_tokens("U^1000000000"))
+
+
+def test_words_of_query_size_stay_far_below_the_letter_limit():
+    # the words of quiddity sequences of up to 48 entries, some exponents negated
+    rng = random.Random(11)
+    worst = 0
+    for _ in range(300):
+        q = (1, 1, 1)
+        for _ in range(rng.randrange(0, 46)):
+            q = eta.expand(q, rng.randrange(len(q)))
+        exps = [x if rng.random() < 0.8 else -x for x in q[: rng.randrange(2, len(q) + 1)]]
+        word = "*".join(f"U^{x}*S" for x in exps)
+        worst = max(worst, _letters(sl2.eval_tokens(word)))
+    assert worst * 100 < sl2.NORMAL_FORM_LETTER_CAP

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity import tiling
 from quiddity.errors import (
@@ -153,3 +155,150 @@ def test_bad_seed_rejected():
 def test_render_alignment():
     text = tiling.formula_window(-2, 2, -2, 2).render()
     assert text.splitlines()[0] == "10  7  4  5  6"
+
+
+# Shared machines stall for long stretches; a deadline would time the machine.
+relaxed = settings(deadline=None)
+
+
+def error_text(call, *args):
+    with pytest.raises((NotAPositiveTilingError, InconsistentFactorsError)) as err:
+        call(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (((1, 2, 2), (1, 1, 1)), "column 6: non-integer factor at row -2"),
+        (((1, 1, 1), (1, 1, 2)), "column 6: factor 3 at row -1 disagrees with 2"),
+        (((1, 1), (1, 2), (2, 2)), "row -1: non-integer factor at column 6"),
+        (((1, 1), (1, 1), (1, 2)), "row -1: factor 3 at column 6 disagrees with 2"),
+        # columns are checked before rows, and column by column
+        (
+            ((1, 1, 1, 1), (1, 1, 2, 1), (1, 3, 1, 1)),
+            "column 6: factor 3 at row -1 disagrees with 2",
+        ),
+    ],
+)
+def test_extract_factors_error_texts(values, message):
+    window = tiling.window_from_values(-2, 5, values)
+    assert error_text(tiling.extract_factors, window) == message
+
+
+def test_generate_tiling_column_relation_text():
+    # float factors lose exactness, which the relation check catches
+    k = {j: 0.1 for j in range(-3, 4)}
+    l = {i: 2 for i in range(-3, 4)}
+    assert (error_text(tiling.generate_tiling, ((2, 3), (3, 5)), k, l, -3, 3, -3, 3)
+            == "column relation fails at (-3,-2) for k[-2]=0.1")
+
+
+def test_generate_tiling_row_relation_text():
+    k = {j: 2 for j in range(-3, 4)}
+    l = {i: 0.7 for i in range(-3, 4)}
+    assert (error_text(tiling.generate_tiling, ((1, 0), (0, 1)), k, l, -2, 2, -1, 1)
+            == "row relation fails at (-1,0) for l[-1]=0.7")
+
+
+def cell_loop_factors(window):
+    """Reference: the factors read cell by cell, columns first."""
+    v = window.value
+    k, l = {}, {}
+    for j in range(window.j0 + 1, window.j1):
+        for i in range(window.i0, window.i1 + 1):
+            q, r = divmod(v(i, j - 1) + v(i, j + 1), v(i, j))
+            if r:
+                raise NotAPositiveTilingError(f"column {j}: non-integer factor at row {i}")
+            if j in k and q != k[j]:
+                raise NotAPositiveTilingError(
+                    f"column {j}: factor {q} at row {i} disagrees with {k[j]}"
+                )
+            k[j] = q
+    for i in range(window.i0 + 1, window.i1):
+        for j in range(window.j0, window.j1 + 1):
+            q, r = divmod(v(i - 1, j) + v(i + 1, j), v(i, j))
+            if r:
+                raise NotAPositiveTilingError(f"row {i}: non-integer factor at column {j}")
+            if i in l and q != l[i]:
+                raise NotAPositiveTilingError(
+                    f"row {i}: factor {q} at column {j} disagrees with {l[i]}"
+                )
+            l[i] = q
+    return k, l
+
+
+def factor_outcome(extract, window):
+    try:
+        f = extract(window)
+    except NotAPositiveTilingError as exc:
+        return str(exc)
+    return f if isinstance(f, tuple) else (f.k, f.l)
+
+
+@st.composite
+def perturbed_windows(draw):
+    """A window of the closed-form tiling, possibly with one cell changed."""
+    i0, j0 = draw(st.integers(-4, 0)), draw(st.integers(-4, 0))
+    i1, j1 = draw(st.integers(i0, 4)), draw(st.integers(j0, 4))
+    rows = [list(row) for row in tiling.formula_window(i0, i1, j0, j1).values]
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, i1 - i0)), draw(st.integers(0, j1 - j0))
+        rows[r][c] = max(1, rows[r][c] + draw(st.sampled_from((-2, -1, 1, 2))))
+    return tiling.window_from_values(i0, j0, rows)
+
+
+@relaxed
+@given(perturbed_windows())
+def test_extract_factors_matches_cell_loop(window):
+    expected = factor_outcome(cell_loop_factors, window)
+    assert factor_outcome(tiling.extract_factors, window) == expected
+
+
+def cell_loop_tiling(seed, k, l, i0, i1, j0, j1):
+    """Reference: propagate through a cell dictionary, then check cell by cell."""
+    (s00, s01), (s10, s11) = seed
+    grid = {(0, 0): s00, (0, 1): s01, (1, 0): s10, (1, 1): s11}
+    for i in (0, 1):
+        for j in range(1, j1):
+            grid[i, j + 1] = k[j] * grid[i, j] - grid[i, j - 1]
+        for j in range(0, j0, -1):
+            grid[i, j - 1] = k[j] * grid[i, j] - grid[i, j + 1]
+    for j in range(j0, j1 + 1):
+        for i in range(1, i1):
+            grid[i + 1, j] = l[i] * grid[i, j] - grid[i - 1, j]
+        for i in range(0, i0, -1):
+            grid[i - 1, j] = l[i] * grid[i, j] - grid[i + 1, j]
+    for i in range(i0, i1 + 1):
+        for j in range(j0 + 1, j1):
+            if k[j] * grid[i, j] != grid[i, j - 1] + grid[i, j + 1]:
+                return f"column relation fails at ({i},{j}) for k[{j}]={k[j]}"
+    for i in range(i0 + 1, i1):
+        for j in range(j0, j1 + 1):
+            if l[i] * grid[i, j] != grid[i - 1, j] + grid[i + 1, j]:
+                return f"row relation fails at ({i},{j}) for l[{i}]={l[i]}"
+    for i in range(i0, i1):
+        for j in range(j0, j1):
+            if grid[i, j] * grid[i + 1, j + 1] - grid[i, j + 1] * grid[i + 1, j] != 1:
+                return "generated window violates unimodularity"
+    return tuple(tuple(grid[i, j] for j in range(j0, j1 + 1)) for i in range(i0, i1 + 1))
+
+
+factor_values = st.one_of(st.integers(-1, 4), st.sampled_from((0.1, 0.3, 0.7, 1.5, 2.5)))
+
+
+@relaxed
+@given(
+    st.sampled_from((((2, 3), (3, 5)), ((1, 0), (0, 1)), ((1, 1), (0, 1)), ((3, 2), (1, 1)))),
+    st.lists(factor_values, min_size=9, max_size=9),
+    st.lists(factor_values, min_size=9, max_size=9),
+    st.integers(-4, 0), st.integers(1, 4), st.integers(-4, 0), st.integers(1, 4),
+)
+def test_generate_tiling_matches_cell_loop(seed, ks, ls, i0, i1, j0, j1):
+    k = dict(zip(range(-4, 5), ks))
+    l = dict(zip(range(-4, 5), ls))
+    try:
+        got = tiling.generate_tiling(seed, k, l, i0, i1, j0, j1).values
+    except InconsistentFactorsError as exc:
+        got = str(exc)
+    assert got == cell_loop_tiling(seed, k, l, i0, i1, j0, j1)

@@ -7,6 +7,13 @@ sequence, not a positive tiling), 2 usage or malformed input.
 
 Sequences are comma-separated without spaces (``2,1,3,1,2``); words use
 ``S`` and ``U^k`` tokens joined by ``*`` (``U^2*S*U*S``).
+
+The subcommands are the rows of COMMANDS: name, handler, help line,
+arguments and the formats offered besides text and json.  A handler
+computes its answer and returns the JSON payload and a renderer (a
+zero-argument callable) per other format; ``verify`` adds its exit code.
+``main`` alone prints the requested format and turns errors into the
+``error: ...`` line and exit code.
 """
 
 from __future__ import annotations
@@ -27,191 +34,121 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-
-def _emit(payload):
-    sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+DOMAIN_ERRORS = (NotQuiddityError, NotAPositiveTilingError, InconsistentFactorsError)
 
 
-def _seq_json(seq):
-    return [int(x) for x in seq]
+def _ints(text: str, count: int, message: str, sep: str = ",") -> tuple:
+    """Exactly ``count`` integers separated by ``sep``, else InvalidSequenceError(message)."""
+    try:
+        values = tuple(int(x) for x in text.split(sep))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise InvalidSequenceError(message)
+    return values
 
 
-def cmd_verify(args) -> int:
+def _flag(value: bool) -> str:
+    return str(value).lower()
+
+
+def cmd_verify(args):
     seq = eta.parse_sequence(args.sequence)
     valid = eta.is_eta(seq)
-    report = {
-        "sequence": _seq_json(seq),
-        "is_quiddity": valid,
-        "n": len(seq),
-        "period": None,
-        "category": None,
-        "canon": None,
-        "orbit_size": None,
-    }
+    report = {"sequence": list(seq), "is_quiddity": valid, "n": len(seq),
+              "period": None, "category": None, "canon": None, "orbit_size": None}
+    lines = [f"is_quiddity: {_flag(valid)}", f"n: {len(seq)}"]
     if valid:
         cls = similarity.classify(seq)
         orbit = similarity.canonicalize(seq)
-        report.update(
-            period=cls.period,
-            category=cls.category,
-            canon=_seq_json(orbit.canon),
-            orbit_size=orbit.orbit_size,
-        )
-    if args.format == "json":
-        _emit(json.dumps(report))
-    else:
-        lines = [f"is_quiddity: {str(valid).lower()}", f"n: {report['n']}"]
-        if valid:
-            lines += [
-                f"period: {report['period']}",
-                f"category: {report['category']}",
-                f"canon: {eta.format_sequence(report['canon'])}",
-                f"orbit_size: {report['orbit_size']}",
-            ]
-        _emit("\n".join(lines))
-    return EXIT_OK if valid else EXIT_DOMAIN
+        report.update(period=cls.period, category=cls.category,
+                      canon=list(orbit.canon), orbit_size=orbit.orbit_size)
+        lines += [
+            f"period: {cls.period}",
+            f"category: {cls.category}",
+            f"canon: {eta.format_sequence(orbit.canon)}",
+            f"orbit_size: {orbit.orbit_size}",
+        ]
+    return report, {"text": lambda: "\n".join(lines)}, EXIT_OK if valid else EXIT_DOMAIN
 
 
-def cmd_frieze(args) -> int:
+def cmd_frieze(args):
     seq = eta.parse_sequence(args.sequence)
     window = frieze.generate_frieze(seq)  # may raise NotQuiddityError with a cell
     if frieze.has_ones_row(window) != window.n - 1:
         raise NotQuiddityError(
             f"{eta.format_sequence(seq)} is not a quiddity sequence: no all-ones row at {window.n - 1}"
         )
-    if args.format == "json":
-        _emit(json.dumps({"n": window.n, "rows": [list(r) for r in window.rows]}))
-    else:
-        _emit(frieze.render_frieze(window))
-    return EXIT_OK
+    payload = {"n": window.n, "rows": [list(r) for r in window.rows]}
+    return payload, {"text": lambda: frieze.render_frieze(window)}
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     k = similarity.count_types(args.n, method=args.method, cap=args.cap)
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "method": args.method, "K": k}))
-    else:
-        _emit(f"K={k}")
-    return EXIT_OK
+    return {"n": args.n, "method": args.method, "K": k}, {"text": lambda: f"K={k}"}
 
 
-def cmd_types(args) -> int:
+def cmd_types(args):
     reps = similarity.enumerate_types(args.n, cap=args.cap)
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "K": len(reps), "types": [_seq_json(r) for r in reps]}))
-    elif args.format == "dot":
-        graphs = [polygons.triangulation_to_dot(polygons.from_quiddity(r)) for r in reps]
-        _emit("\n".join(graphs))
-    else:
-        lines = [f"K={len(reps)}"] + [eta.format_sequence(r) for r in reps]
-        _emit("\n".join(lines))
-    return EXIT_OK
+    return {"n": args.n, "K": len(reps), "types": [list(r) for r in reps]}, {
+        "text": lambda: "\n".join([f"K={len(reps)}"] + [eta.format_sequence(r) for r in reps]),
+        "dot": lambda: "\n".join(
+            polygons.triangulation_to_dot(polygons.from_quiddity(r)) for r in reps
+        ),
+    }
 
 
-def cmd_supplement(args) -> int:
+def cmd_supplement(args):
     seq = supplements.check_basic(eta.parse_sequence_loose(args.sequence))
     supp = supplements.supplement(seq)
     valid = eta.is_eta(seq + supp)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "input": _seq_json(seq),
-                    "supplement": _seq_json(supp),
-                    "concatenation_valid": valid,
-                }
-            )
-        )
-    else:
-        _emit(eta.format_sequence(supp) + f"\nconcatenation is a quiddity sequence: {str(valid).lower()}")
-    return EXIT_OK
+    payload = {"input": list(seq), "supplement": list(supp), "concatenation_valid": valid}
+    text = f"{eta.format_sequence(supp)}\nconcatenation is a quiddity sequence: {_flag(valid)}"
+    return payload, {"text": lambda: text}
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args):
     blocks = [eta.parse_sequence_loose(tok) for tok in args.blocks if tok != "+"]
     result = supplements.extend_superbasic(blocks)
     valid = eta.is_eta(result)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "blocks": [_seq_json(b) for b in blocks],
-                    "quiddity": _seq_json(result),
-                    "valid": valid,
-                }
-            )
-        )
-    else:
-        _emit(eta.format_sequence(result) + f"\nvalid quiddity sequence of length {len(result)}: {str(valid).lower()}")
-    return EXIT_OK
+    payload = {"blocks": [list(b) for b in blocks], "quiddity": list(result), "valid": valid}
+    text = (f"{eta.format_sequence(result)}\n"
+            f"valid quiddity sequence of length {len(result)}: {_flag(valid)}")
+    return payload, {"text": lambda: text}
 
 
-def cmd_reduce(args) -> int:
-    try:
-        matrix = sl2.eval_tokens(args.word)
-    except ValueError as exc:
-        raise InvalidSequenceError(str(exc)) from exc
+def cmd_reduce(args):
+    matrix = sl2.eval_tokens(args.word)
     order = sl2.element_order(matrix)
     form = sl2.ts_normal_form(matrix)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "matrix": matrix.rows(),
-                    "order": order,
-                    "normal_form": str(form),
-                }
-            )
-        )
-    else:
-        _emit(
-            "\n".join(
-                [
-                    f"matrix: {matrix}",
-                    f"order: {order if order is not None else 'infinite'}",
-                    f"normal_form: {form}",
-                ]
-            )
-        )
-    return EXIT_OK
+    payload = {"matrix": matrix.rows(), "order": order, "normal_form": str(form)}
+    return payload, {"text": lambda: "\n".join([
+        f"matrix: {matrix}",
+        f"order: {order if order is not None else 'infinite'}",
+        f"normal_form: {form}",
+    ])}
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args):
     seq = eta.parse_sequence(args.sequence)
     t = polygons.from_quiddity(seq)
     root = None
     if args.root:
-        try:
-            u, v = (int(x) for x in args.root.split(","))
-        except ValueError as exc:
-            raise InvalidSequenceError(f"--root wants 'u,v', got {args.root!r}") from exc
-        root = (u, v)
+        root = _ints(args.root, 2, f"--root wants 'u,v', got {args.root!r}")
     tree = polygons.to_dual_tree(t, root_side=root)
-    if args.format == "json":
-        payload = t.to_json_dict()
-        payload["tree"] = polygons.bracket(tree)
-        _emit(json.dumps(payload))
-    elif args.format == "dot":
-        _emit(polygons.tree_to_dot(tree))
-    else:
-        _emit(
-            "\n".join(
-                [
-                    f"diagonals: {json.dumps([list(d) for d in t.diagonals])}",
-                    f"tree: {polygons.bracket(tree)}",
-                ]
-            )
-        )
-    return EXIT_OK
+    payload = t.to_json_dict()
+    payload["tree"] = polygons.bracket(tree)
+    return payload, {
+        "text": lambda: f"diagonals: {json.dumps(payload['diagonals'])}\ntree: {payload['tree']}",
+        "dot": lambda: polygons.tree_to_dot(tree),
+    }
 
 
 def _parse_window(text: str):
-    try:
-        ipart, jpart = text.split(",")
-        i0, i1 = (int(x) for x in ipart.split(":"))
-        j0, j1 = (int(x) for x in jpart.split(":"))
-    except ValueError as exc:
-        raise InvalidSequenceError(f"--window wants 'i0:i1,j0:j1', got {text!r}") from exc
+    message = f"--window wants 'i0:i1,j0:j1', got {text!r}"
+    ipart, _, jpart = text.partition(",")
+    i0, i1 = _ints(ipart, 2, message, ":")
+    j0, j1 = _ints(jpart, 2, message, ":")
     if i0 > i1 or j0 > j1:
         raise InvalidSequenceError(f"empty window {text!r}")
     return i0, i1, j0, j1
@@ -226,36 +163,57 @@ def _load_factors(path: str) -> dict:
         raise InvalidSequenceError(f"cannot read factor file {path!r}: {exc}") from exc
 
 
-def cmd_tiling(args) -> int:
+def cmd_tiling(args):
     i0, i1, j0, j1 = _parse_window(args.window)
     if args.formula_paper:
         window = tiling.formula_window(i0, i1, j0, j1)
     else:
         if not (args.seed and args.kfile and args.lfile):
             raise InvalidSequenceError("need --seed, --kfile and --lfile (or --formula-paper)")
-        try:
-            a, b, c, d = (int(x) for x in args.seed.split(","))
-        except ValueError as exc:
-            raise InvalidSequenceError(f"--seed wants 'a,b,c,d', got {args.seed!r}") from exc
+        a, b, c, d = _ints(args.seed, 4, f"--seed wants 'a,b,c,d', got {args.seed!r}")
         window = tiling.generate_tiling(
             ((a, b), (c, d)), _load_factors(args.kfile), _load_factors(args.lfile), i0, i1, j0, j1
         )
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "i0": window.i0,
-                    "i1": window.i1,
-                    "j0": window.j0,
-                    "j1": window.j1,
-                    "positive": window.is_positive,
-                    "values": [list(r) for r in window.values],
-                }
-            )
-        )
-    else:
-        _emit(window.render())
-    return EXIT_OK
+    payload = {"i0": window.i0, "i1": window.i1, "j0": window.j0, "j1": window.j1,
+               "positive": window.is_positive, "values": [list(r) for r in window.values]}
+    return payload, {"text": window.render}
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+SEQUENCE = _arg("sequence")
+SIZE = _arg("--n", type=int, required=True)
+
+# (name, handler, help, arguments, formats besides text and json)
+COMMANDS = (
+    ("verify", cmd_verify, "test a sequence and classify it", [SEQUENCE], ()),
+    ("frieze", cmd_frieze, "print the frieze pattern of a quiddity sequence", [SEQUENCE], ()),
+    ("count", cmd_count, "count similarity types K_n", [
+        SIZE,
+        _arg("--method", choices=("formula", "brute"), default="formula"),
+        _arg("--cap", type=int, default=None, help="override the brute-force cap"),
+    ], ()),
+    ("types", cmd_types, "list one representative per similarity type",
+     [SIZE, _arg("--cap", type=int, default=None)], ("dot",)),
+    ("supplement", cmd_supplement, "supplement of a basic sequence", [SEQUENCE], ()),
+    ("extend", cmd_extend, "extend super-basic blocks to a quiddity sequence",
+     [_arg("blocks", nargs="+", help="sequences, optionally separated by +")], ()),
+    ("reduce", cmd_reduce, "evaluate an S/U word: matrix, order, normal form", [_arg("word")], ()),
+    ("tree", cmd_tree, "triangulation and dual tree of a quiddity sequence", [
+        SEQUENCE,
+        _arg("--root", default=None, help="root side as 'u,v' (default: n-1,0)"),
+    ], ("dot",)),
+    ("tiling", cmd_tiling, "fill a positive SL2-tiling window", [
+        _arg("--seed", default=None, help="2x2 seed 'a,b,c,d' at cells (0..1, 0..1)"),
+        _arg("--kfile", default=None, help="JSON file of column factors {j: k_j}"),
+        _arg("--lfile", default=None, help="JSON file of row factors {i: l_i}"),
+        _arg("--window", required=True, help="'i0:i1,j0:j1' inclusive"),
+        _arg("--formula-paper", action="store_true", dest="formula_paper",
+             help="use the built-in closed-form tiling instead of seed+factors"),
+    ], ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,84 +222,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frieze patterns, quiddity sequences and their similarity types.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
-
-    p = sub.add_parser("verify", help="test a sequence and classify it")
-    p.add_argument("sequence")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("frieze", help="print the frieze pattern of a quiddity sequence")
-    p.add_argument("sequence")
-    add_format(p)
-    p.set_defaults(func=cmd_frieze)
-
-    p = sub.add_parser("count", help="count similarity types K_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("formula", "brute"), default="formula")
-    p.add_argument("--cap", type=int, default=None, help="override the brute-force cap")
-    add_format(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("types", help="list one representative per similarity type")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p, choices=("text", "json", "dot"))
-    p.set_defaults(func=cmd_types)
-
-    p = sub.add_parser("supplement", help="supplement of a basic sequence")
-    p.add_argument("sequence")
-    add_format(p)
-    p.set_defaults(func=cmd_supplement)
-
-    p = sub.add_parser("extend", help="extend super-basic blocks to a quiddity sequence")
-    p.add_argument("blocks", nargs="+", help="sequences, optionally separated by +")
-    add_format(p)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("reduce", help="evaluate an S/U word: matrix, order, normal form")
-    p.add_argument("word")
-    add_format(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("tree", help="triangulation and dual tree of a quiddity sequence")
-    p.add_argument("sequence")
-    p.add_argument("--root", default=None, help="root side as 'u,v' (default: n-1,0)")
-    add_format(p, choices=("text", "json", "dot"))
-    p.set_defaults(func=cmd_tree)
-
-    p = sub.add_parser("tiling", help="fill a positive SL2-tiling window")
-    p.add_argument("--seed", default=None, help="2x2 seed 'a,b,c,d' at cells (0..1, 0..1)")
-    p.add_argument("--kfile", default=None, help="JSON file of column factors {j: k_j}")
-    p.add_argument("--lfile", default=None, help="JSON file of row factors {i: l_i}")
-    p.add_argument("--window", required=True, help="'i0:i1,j0:j1' inclusive")
-    p.add_argument("--formula-paper", action="store_true", dest="formula_paper",
-                   help="use the built-in closed-form tiling instead of seed+factors")
-    add_format(p)
-    p.set_defaults(func=cmd_tiling)
-
+    for name, handler, help_text, arguments, formats in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.add_argument("--format", choices=("text", "json") + formats, default="text")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except InvalidSequenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotQuiddityError, NotAPositiveTilingError, InconsistentFactorsError) as exc:
+        payload, renderers, *code = args.func(args)
+        text = json.dumps(payload) if args.format == "json" else renderers[args.format]()
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return code[0] if code else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ leaves of the depth-first traversal recovers the quiddity sequence.
 
 Exhaustive enumeration of all triangulations (there are C_{n-2} of them,
 Catalan) is deterministic: recursion on the apex of the triangle resting
-on the base edge, apex increasing, left sub-polygon before right.
+on the base edge, apex increasing, left sub-polygon before right.  Every
+exhaustive sweep of the package, here and in :mod:`quiddity.similarity`,
+runs only for 3 <= n <= SWEEP_CAP unless its ``cap=`` argument (the CLI's
+``--cap``) raises the cap; ``check_sweep`` is the one range check.
 
 A given triangulation is walked the same way with one apex lookup shared
 by ``triangles`` and ``to_dual_tree``: the triangle resting on an edge
@@ -30,8 +33,6 @@ from dataclasses import dataclass
 
 from . import eta
 from .errors import InvalidSequenceError, NotQuiddityError
-
-DEFAULT_ENUM_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -127,21 +128,23 @@ def _apexes(n: int, chords) -> dict:
 
 
 def triangles(t: Triangulation):
-    """The n-2 triangles as sorted vertex triples, in arc-recursion order."""
+    """The n-2 triangles as sorted vertex triples, in arc-recursion order.
+
+    The arcs are walked in preorder, left arc first, on an explicit stack,
+    so a fan of any size stays within the recursion limit.
+    """
     apexes = _apexes(t.n, t.diagonals)
     out = []
-
-    def rec(lo, hi):
+    stack = [(0, t.n - 1)]
+    while stack:
+        lo, hi = stack.pop()
         if hi - lo < 2:
-            return
+            continue
         apex = apexes.get((lo, hi))
         if apex is None:
             raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
         out.append((lo, apex, hi))
-        rec(lo, apex)
-        rec(apex, hi)
-
-    rec(0, t.n - 1)
+        stack += ((apex, hi), (lo, apex))
     return out
 
 
@@ -190,10 +193,19 @@ def from_quiddity(entries) -> Triangulation:
     return Triangulation(n=n, diagonals=tuple(sorted(diagonals)))
 
 
-def enumerate_triangulations(n: int, cap: int = DEFAULT_ENUM_CAP):
+SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
+
+
+def check_sweep(n: int, cap: int = None) -> None:
+    """Refuse an exhaustive sweep at n unless 3 <= n <= cap (default SWEEP_CAP)."""
+    limit = SWEEP_CAP if cap is None else cap
+    if not 3 <= n <= limit:
+        raise ValueError(f"n={n} outside 3..{limit} (raise the cap with cap= or --cap)")
+
+
+def enumerate_triangulations(n: int, cap: int = None):
     """Yield every triangulation of the n-gon exactly once, deterministically."""
-    if not 3 <= n <= cap:
-        raise ValueError(f"n must be in 3..{cap}, got {n}")
+    check_sweep(n, cap)
 
     def rec(lo, hi):
         if hi - lo < 2:
@@ -213,15 +225,14 @@ def enumerate_triangulations(n: int, cap: int = DEFAULT_ENUM_CAP):
         yield Triangulation(n=n, diagonals=tuple(sorted(diags)))
 
 
-def iter_quiddities(n: int, cap: int = DEFAULT_ENUM_CAP):
+def iter_quiddities(n: int, cap: int = None):
     """Yield the quiddity sequence of every triangulation of the n-gon.
 
     Same recursion (and order) as :func:`enumerate_triangulations`, but the
     vertex counts are accumulated in place, which makes exhaustive sweeps
     over hundreds of thousands of triangulations practical.
     """
-    if not 3 <= n <= cap:
-        raise ValueError(f"n must be in 3..{cap}, got {n}")
+    check_sweep(n, cap)
     counts = [0] * n
 
     def rec(lo, hi):
@@ -311,17 +322,26 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
         x, y = (a - start) % n, (b - start) % n
         chords.append((x, y) if x < y else (y, x))
     apexes = _apexes(n, chords)
-
-    def build(lo, hi):  # the triangle on edge (lo, hi), hi - lo >= 2
+    # Triangles are built in preorder, left before right, on an explicit
+    # stack of (branch, lo, hi): the triangle on edge (lo, hi), hi - lo >= 2.
+    root = Branch(None, None)
+    stack = [(root, 0, n - 1)]
+    while stack:
+        node, lo, hi = stack.pop()
         apex = apexes.get((lo, hi))
         if apex is None:
             raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
-        return Branch(
-            Leaf(lo) if apex - lo == 1 else build(lo, apex),
-            Leaf(apex) if hi - apex == 1 else build(apex, hi),
-        )
-
-    return DualTree(n=n, root=build(0, n - 1), root_side=(u, v))
+        if hi - apex == 1:
+            node.right = Leaf(apex)
+        else:
+            node.right = Branch(None, None)
+            stack.append((node.right, apex, hi))
+        if apex - lo == 1:
+            node.left = Leaf(lo)
+        else:
+            node.left = Branch(None, None)
+            stack.append((node.left, lo, apex))
+    return DualTree(n=n, root=root, root_side=(u, v))
 
 
 def tree_quiddity(tree: DualTree) -> tuple:
@@ -331,74 +351,113 @@ def tree_quiddity(tree: DualTree) -> tuple:
     internal-node visits since the previous leaf.  The final climb back to
     the root edge emits the last entry.  The result is the quiddity
     sequence starting at the counterclockwise endpoint of the root side.
+
+    Like ``bracket`` and ``tree_to_dot``, the tour runs without recursion:
+    it descends left spines, keeping on a stack each branch whose right
+    subtree is still to come; the branch is replaced by None while that
+    subtree is walked, and each None popped after a leaf is a finished
+    branch.
     """
     runs = []
     count = 0
-
-    def tour(node):
-        nonlocal count
-        if node.is_leaf:
-            runs.append(count)
-            count = 0
-            return
+    stack = []
+    node = tree.root
+    while True:
+        while not node.is_leaf:
+            count += 1
+            stack.append(node)
+            node = node.left
+        runs.append(count)
+        count = 0
+        while stack and stack[-1] is None:
+            stack.pop()
+            count += 1
+        if not stack:
+            break
+        node = stack.pop().right
+        stack.append(None)
         count += 1
-        tour(node.left)
-        count += 1
-        tour(node.right)
-        count += 1
-
-    tour(tree.root)
     runs.append(count)
     return tuple(runs)
 
 
 def leaf_count(tree: DualTree) -> int:
-    def walk(node):
-        return 1 if node.is_leaf else walk(node.left) + walk(node.right)
-
-    return walk(tree.root)
+    leaves = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves += 1
+        else:
+            stack += (node.right, node.left)
+    return leaves
 
 
 def internal_count(tree: DualTree) -> int:
-    def walk(node):
-        return 0 if node.is_leaf else 1 + walk(node.left) + walk(node.right)
-
-    return walk(tree.root)
+    internal = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            internal += 1
+            stack += (node.right, node.left)
+    return internal
 
 
 def bracket(tree: DualTree) -> str:
     """Nested-pair string with leaf side names, e.g. (b,(c,(d,e)))."""
-
-    def walk(node):
-        if node.is_leaf:
-            return side_name(node.side)
-        return f"({walk(node.left)},{walk(node.right)})"
-
-    return walk(tree.root)
+    parts = []
+    stack = []
+    node = tree.root
+    while True:
+        while not node.is_leaf:
+            parts.append("(")
+            stack.append(node)
+            node = node.left
+        parts.append(side_name(node.side))
+        while stack and stack[-1] is None:
+            stack.pop()
+            parts.append(")")
+        if not stack:
+            break
+        node = stack.pop().right
+        stack.append(None)
+        parts.append(",")
+    return "".join(parts)
 
 
 def tree_to_dot(tree: DualTree) -> str:
-    """GraphViz digraph of the dual tree; internal nodes t0, t1, ... in preorder."""
+    """GraphViz digraph of the dual tree; internal nodes t0, t1, ... in preorder.
+
+    A node's line is written when the walk reaches it, a branch's two edge
+    lines once both its subtrees are written.  The stack holds
+    (branch, name) while the left subtree is walked and (None, name, left
+    child's name) while the right one is.
+    """
     lines = ["digraph dualtree {", '  root [label="a", shape=none];']
     counter = 0
-
-    def walk(node):
-        nonlocal counter
-        if node.is_leaf:
-            name = f"leaf_{node.side}"
-            lines.append(f'  {name} [label="{side_name(node.side)}", shape=none];')
-            return name
-        name = f"t{counter}"
-        counter += 1
-        lines.append(f'  {name} [label="{name}", shape=circle];')
-        left = walk(node.left)
-        right = walk(node.right)
-        lines.append(f"  {name} -> {left};")
-        lines.append(f"  {name} -> {right};")
-        return name
-
-    top = walk(tree.root)
-    lines.append(f"  root -> {top};")
+    stack = []
+    node = tree.root
+    while True:
+        while not node.is_leaf:
+            name = f"t{counter}"
+            counter += 1
+            lines.append(f'  {name} [label="{name}", shape=circle];')
+            stack.append((node, name))
+            node = node.left
+        last = f"leaf_{node.side}"  # the name of the subtree just written
+        lines.append(f'  {last} [label="{side_name(node.side)}", shape=none];')
+        while stack and stack[-1][0] is None:
+            _, name, left = stack.pop()
+            lines.append(f"  {name} -> {left};")
+            lines.append(f"  {name} -> {last};")
+            last = name
+        if not stack:
+            break
+        node, name = stack.pop()
+        stack.append((None, name, last))
+        node = node.right
+    lines.append(f"  root -> {last};")
     lines.append("}")
     return "\n".join(lines)
 

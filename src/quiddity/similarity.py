@@ -19,7 +19,9 @@ Counting machinery:
   K_n is the sum over all perfect tri-partitions.
 * The same gluing, run over actual sequences instead of counts, enumerates
   one representative per type; a brute force over all triangulations is
-  kept alongside as the oracle.
+  kept alongside as the oracle.  Both are exhaustive sweeps, refused above
+  ``polygons.SWEEP_CAP`` (14) unless ``cap=`` raises it; the cap and its
+  range check live in :mod:`quiddity.polygons` only.
 
 The ternary composition law sits underneath: given quiddity sequences a,
 b, c of an (i+1)-, (j+1)- and (k+1)-gon arranged counterclockwise around a
@@ -36,35 +38,16 @@ degenerate 2-gon arm (k = 1) enters as the placeholder (0, 0).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from . import eta, polygons
 from .errors import InvalidSequenceError
 
 DEGENERATE = (0, 0)
-DEFAULT_BRUTE_CAP = 14
 
 SYMMETRIC = "symmetric"
 PSEUDO_SYMMETRIC = "pseudo-symmetric"
 ASYMMETRIC = "asymmetric"
-
-
-def brute_cap() -> int:
-    """Default cap on brute-force enumeration; FRIEZE_BRUTE_CAP overrides.
-
-    Raises ValueError unless the variable, when set, is a positive integer.
-    """
-    value = os.environ.get("FRIEZE_BRUTE_CAP")
-    if not value:
-        return DEFAULT_BRUTE_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"FRIEZE_BRUTE_CAP must be a positive integer, got {value!r}")
-    return cap
 
 
 def catalan(k: int) -> int:
@@ -111,13 +94,7 @@ def dihedral_images(entries):
 
 def canonical_form(entries) -> tuple:
     """Lexicographically least among all rotations of the sequence and its reversal."""
-    seq = tuple(entries)
-    n = len(seq)
-    doubled = seq + seq
-    best = min(doubled[t:t + n] for t in range(n))
-    rev = seq[::-1]
-    doubled = rev + rev
-    return min(best, min(doubled[t:t + n] for t in range(n)))
+    return min(dihedral_images(entries))
 
 
 def canonicalize(entries) -> OrbitCanon:
@@ -169,11 +146,9 @@ def count_TSA(n: int):
 
 def count_TSA_brute(n: int, cap: int = None):
     """(T_n, S_n, A_n) by exhaustive enumeration."""
-    if n > (cap if cap is not None else brute_cap()):
-        raise ValueError(f"n={n} exceeds the brute-force cap")
     total = 0
     fixed = 0
-    for q in polygons.iter_quiddities(n):
+    for q in polygons.iter_quiddities(n, cap):
         total += 1
         if q == q[::-1]:
             fixed += 1
@@ -275,10 +250,7 @@ def compose(a, b, c=None) -> tuple:
 
 def brute_type_set(n: int, cap: int = None):
     """Canonical forms of all quiddity sequences of length n, exhaustively."""
-    limit = cap if cap is not None else brute_cap()
-    if not 3 <= n <= limit:
-        raise ValueError(f"n={n} outside 3..{limit} (set FRIEZE_BRUTE_CAP to raise the cap)")
-    return {canonical_form(q) for q in polygons.iter_quiddities(n, cap=max(limit, 16))}
+    return {canonical_form(q) for q in polygons.iter_quiddities(n, cap)}
 
 
 def count_types(n: int, method: str = "formula", cap: int = None) -> int:
@@ -299,11 +271,10 @@ def enumerate_types(n: int, cap: int = None):
     tri-partition, compose all triangulation quiddities of the arc
     sub-polygons (the degenerate arm contributing (0, 0), the diameter
     case gluing pairs) and deduplicate canonical forms.  Produces exactly
-    K_n types.
+    K_n types.  Refused outside 3..cap like the brute force; the arc
+    sub-polygons are swept under the same cap.
     """
-    limit = cap if cap is not None else brute_cap()
-    if not 3 <= n <= limit:
-        raise ValueError(f"n={n} outside 3..{limit} (set FRIEZE_BRUTE_CAP to raise the cap)")
+    polygons.check_sweep(n, cap)
     if n == 3:
         return [(1, 1, 1)]
 
@@ -313,7 +284,7 @@ def enumerate_types(n: int, cap: int = None):
         if length == 2:
             return [DEGENERATE]
         if length not in piece_cache:
-            piece_cache[length] = list(polygons.iter_quiddities(length))
+            piece_cache[length] = list(polygons.iter_quiddities(length, cap))
         return piece_cache[length]
 
     found = set()

@@ -95,7 +95,6 @@ I = Mat2(1, 0, 0, 1)
 S = Mat2(0, 1, -1, 0)
 T = Mat2(0, 1, -1, -1)
 U = Mat2(1, 0, 1, 1)
-V = Mat2(1, 1, 0, 1)  # upper translation, V = -S*T
 
 
 def u_pow(a: int) -> Mat2:
@@ -351,12 +350,6 @@ def ts_normal_form(m: Mat2) -> TSNormalForm:
         stack = stack[:-1]
     exponents = tuple(tok[1] for tok in stack if isinstance(tok, tuple))
     return TSNormalForm(sign=sign, b0=b0, exponents=exponents, b1=b1)
-
-
-def check_conjugation_lemma(x: Mat2, a: int, b: int) -> bool:
-    """Whether X*U^a*S == U^b*S*X (true only when a == b)."""
-    m = x.entries()
-    return word_product((a,), m) == mul(word_product((b,)), m)
 
 
 def check_cancellation_identity(a: int, b: int) -> bool:

@@ -1,6 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
-from quiddity.cli import main
+import pytest
+
+from quiddity.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -285,13 +289,6 @@ def test_tiling_factor_file_lacks_an_index(capsys, tmp_path):
     )
 
 
-def test_brute_cap_env_must_be_a_positive_integer(capsys, monkeypatch):
-    monkeypatch.setenv("FRIEZE_BRUTE_CAP", "abc")
-    code, out, err = run(capsys, "count", "--n", "8", "--method", "brute")
-    assert (code, out) == (2, "")
-    assert err == "error: FRIEZE_BRUTE_CAP must be a positive integer, got 'abc'\n"
-
-
 def test_tiling_missing_pieces(capsys):
     code, _, err = run(capsys, "tiling", "--window=0:1,0:1")
     assert code == 2
@@ -305,3 +302,33 @@ def test_tiling_bad_window(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_tree_on_a_deep_fan(capsys):
+    fan = ",".join(map(str, (2998, 1) + (2,) * 2997 + (1,)))
+    for fmt in ("text", "json", "dot"):
+        code, out, err = run(capsys, "tree", fan, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and len(out) > 3000
+
+
+def readme_commands():
+    """The `quiddity ...` lines of the README's "Command line" block, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("quiddity ")]
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in readme_commands()} == {name for name, *_ in COMMANDS}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_runs(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("k.json", "l.json"):
+        (tmp_path / name).write_text('{"-1": 2, "0": 3, "1": 2}', encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.strip()

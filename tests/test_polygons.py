@@ -284,3 +284,55 @@ def test_tree_readout_on_every_root_side(q):
 def test_triangles_of_a_malformed_set_raise():
     with pytest.raises(InvalidSequenceError, match=r"no triangle on chord \(0,4\)"):
         polygons.triangles(polygons.Triangulation(n=5, diagonals=()))
+
+
+def fan(n):
+    """The fan of the n-gon at vertex 0; its dual tree is n - 2 levels deep."""
+    return (n - 2, 1) + (2,) * (n - 3) + (1,)
+
+
+def test_deep_fan_stays_within_the_recursion_limit():
+    q = fan(3000)
+    t = polygons.from_quiddity(q)
+    assert polygons.to_quiddity(t) == q
+    tree = polygons.to_dual_tree(t)
+    assert polygons.tree_quiddity(tree) == q
+    assert polygons.leaf_count(tree) == 2999
+    assert polygons.internal_count(tree) == 2998
+    assert polygons.bracket(tree).startswith("(" * 2998 + "b,c)")
+    assert polygons.tree_to_dot(tree).endswith("  root -> t0;\n}")
+
+
+def recursive_bracket(node):
+    if node.is_leaf:
+        return polygons.side_name(node.side)
+    return f"({recursive_bracket(node.left)},{recursive_bracket(node.right)})"
+
+
+def recursive_dot(tree):
+    lines = ["digraph dualtree {", '  root [label="a", shape=none];']
+    counter = itertools.count()
+
+    def walk(node):
+        if node.is_leaf:
+            name = f"leaf_{node.side}"
+            lines.append(f'  {name} [label="{polygons.side_name(node.side)}", shape=none];')
+            return name
+        name = f"t{next(counter)}"
+        lines.append(f'  {name} [label="{name}", shape=circle];')
+        left, right = walk(node.left), walk(node.right)
+        lines.extend([f"  {name} -> {left};", f"  {name} -> {right};"])
+        return name
+
+    lines.extend([f"  root -> {walk(tree.root)};", "}"])
+    return "\n".join(lines)
+
+
+@relaxed
+@given(quiddities(40), st.data())
+def test_tree_walks_match_the_recursive_walks(q, data):
+    n = len(q)
+    u = data.draw(st.integers(0, n - 1))
+    tree = polygons.to_dual_tree(polygons.from_quiddity(q), root_side=(u, (u + 1) % n))
+    assert polygons.bracket(tree) == recursive_bracket(tree.root)
+    assert polygons.tree_to_dot(tree) == recursive_dot(tree)

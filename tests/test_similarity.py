@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from quiddity import eta, similarity
+from quiddity import eta, polygons, similarity
 from quiddity.errors import InvalidSequenceError
 from quiddity.similarity import (
     ASYMMETRIC,
@@ -200,23 +202,50 @@ class TestCountTypes:
         for n in range(3, 12):
             assert count_types(n, method="brute") == count_types(n)
 
-    def test_brute_cap(self, monkeypatch):
-        monkeypatch.setenv("FRIEZE_BRUTE_CAP", "5")
-        assert count_types(5, method="brute") == 1
+    def test_explicit_cap(self):
+        assert count_types(5, method="brute", cap=5) == 1
         with pytest.raises(ValueError):
-            count_types(6, method="brute")
-        # an explicit cap argument wins over the environment
+            count_types(6, method="brute", cap=5)
         assert count_types(6, method="brute", cap=6) == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_brute_cap_rejects_non_positive_integers(self, monkeypatch, value):
-        monkeypatch.setenv("FRIEZE_BRUTE_CAP", value)
-        with pytest.raises(ValueError, match=rf"FRIEZE_BRUTE_CAP must be a positive integer, got '{value}'"):
-            count_types(6, method="brute")
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
             count_types(6, method="magic")
+
+
+# Every exhaustive sweep, called as sweep(n) or sweep(n, cap); the
+# generators are asked for their first item only.
+SWEEPS = {
+    "count_TSA_brute": lambda n, cap=None: count_TSA_brute(n, cap=cap),
+    "brute_type_set": lambda n, cap=None: similarity.brute_type_set(n, cap=cap),
+    "count_types": lambda n, cap=None: count_types(n, method="brute", cap=cap),
+    "enumerate_types": lambda n, cap=None: enumerate_types(n, cap=cap),
+    "iter_quiddities": lambda n, cap=None: next(polygons.iter_quiddities(n, cap)),
+    "enumerate_triangulations": lambda n, cap=None: next(polygons.enumerate_triangulations(n, cap)),
+}
+
+
+def cap_message(n, cap):
+    return rf"^n={n} outside 3\.\.{cap} \(raise the cap with cap= or --cap\)$"
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_explicit_cap_above_16_is_honoured(sweep, monkeypatch):
+    # Cut each enumeration after five items: only the range check runs in full.
+    real = polygons.iter_quiddities
+    monkeypatch.setattr(polygons, "iter_quiddities",
+                        lambda n, cap=None: itertools.islice(real(n, cap), 5))
+    SWEEPS[sweep](17, 17)
+    with pytest.raises(ValueError, match=cap_message(18, 17)):
+        SWEEPS[sweep](18, 17)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize("n", [2, polygons.SWEEP_CAP + 1])
+def test_one_message_outside_the_default_range(sweep, n):
+    assert polygons.SWEEP_CAP == 14
+    with pytest.raises(ValueError, match=cap_message(n, 14)):
+        SWEEPS[sweep](n)
 
 
 class TestCompose:

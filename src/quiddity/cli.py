@@ -14,6 +14,10 @@ computes its answer and returns the JSON payload and a renderer (a
 zero-argument callable) per other format; ``verify`` adds its exit code.
 ``main`` alone prints the requested format and turns errors into the
 ``error: ...`` line and exit code.
+
+Modules load per command: this module imports only the stdlib and the
+exception types, and each handler imports the package modules it runs,
+so ``quiddity tiling`` never loads the similarity or polygon code.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import argparse
 import json
 import sys
 
-from . import eta, frieze, polygons, similarity, sl2, supplements, tiling
 from .errors import (
     InconsistentFactorsError,
     InvalidSequenceError,
@@ -53,6 +56,8 @@ def _flag(value: bool) -> str:
 
 
 def cmd_verify(args):
+    from . import eta, similarity
+
     seq = eta.parse_sequence(args.sequence)
     valid = eta.is_eta(seq)
     report = {"sequence": list(seq), "is_quiddity": valid, "n": len(seq),
@@ -73,6 +78,8 @@ def cmd_verify(args):
 
 
 def cmd_frieze(args):
+    from . import eta, frieze
+
     seq = eta.parse_sequence(args.sequence)
     window = frieze.generate_frieze(seq)  # may raise NotQuiddityError with a cell
     if frieze.has_ones_row(window) != window.n - 1:
@@ -84,11 +91,15 @@ def cmd_frieze(args):
 
 
 def cmd_count(args):
+    from . import similarity
+
     k = similarity.count_types(args.n, method=args.method, cap=args.cap)
     return {"n": args.n, "method": args.method, "K": k}, {"text": lambda: f"K={k}"}
 
 
 def cmd_types(args):
+    from . import eta, polygons, similarity
+
     reps = similarity.enumerate_types(args.n, cap=args.cap)
     return {"n": args.n, "K": len(reps), "types": [list(r) for r in reps]}, {
         "text": lambda: "\n".join([f"K={len(reps)}"] + [eta.format_sequence(r) for r in reps]),
@@ -99,6 +110,8 @@ def cmd_types(args):
 
 
 def cmd_supplement(args):
+    from . import eta, supplements
+
     seq = supplements.check_basic(eta.parse_sequence_loose(args.sequence))
     supp = supplements.supplement(seq)
     valid = eta.is_eta(seq + supp)
@@ -108,6 +121,8 @@ def cmd_supplement(args):
 
 
 def cmd_extend(args):
+    from . import eta, supplements
+
     blocks = [eta.parse_sequence_loose(tok) for tok in args.blocks if tok != "+"]
     result = supplements.extend_superbasic(blocks)
     valid = eta.is_eta(result)
@@ -118,6 +133,8 @@ def cmd_extend(args):
 
 
 def cmd_reduce(args):
+    from . import sl2
+
     matrix = sl2.eval_tokens(args.word)
     order = sl2.element_order(matrix)
     form = sl2.ts_normal_form(matrix)
@@ -130,10 +147,12 @@ def cmd_reduce(args):
 
 
 def cmd_tree(args):
+    from . import eta, polygons
+
     seq = eta.parse_sequence(args.sequence)
     t = polygons.from_quiddity(seq)
     root = None
-    if args.root:
+    if args.root is not None:
         root = _ints(args.root, 2, f"--root wants 'u,v', got {args.root!r}")
     tree = polygons.to_dual_tree(t, root_side=root)
     payload = t.to_json_dict()
@@ -164,6 +183,8 @@ def _load_factors(path: str) -> dict:
 
 
 def cmd_tiling(args):
+    from . import tiling
+
     i0, i1, j0, j1 = _parse_window(args.window)
     if args.formula_paper:
         window = tiling.formula_window(i0, i1, j0, j1)

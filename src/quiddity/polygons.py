@@ -228,29 +228,48 @@ def enumerate_triangulations(n: int, cap: int = None):
 def iter_quiddities(n: int, cap: int = None):
     """Yield the quiddity sequence of every triangulation of the n-gon.
 
-    Same recursion (and order) as :func:`enumerate_triangulations`, but the
-    vertex counts are accumulated in place, which makes exhaustive sweeps
-    over hundreds of thousands of triangulations practical.
+    Same order as :func:`enumerate_triangulations`, without its recursion.
+    A triangulation is the preorder list of its triangles, one frame
+    ``(lo, hi, apex, rest)`` per arc of two or more sides, and the order
+    is lexicographic in the apexes.  Each step is an odometer move: pop
+    the frames whose apex is at ``hi - 1``, move the last apex one step,
+    and complete the pending arcs with their first triangulations, the
+    fans ``(k, k + 1, hi)``.  ``pending`` and each frame's ``rest`` are
+    cons-lists ``(arc, tail)`` of the arcs that still follow in preorder.
+    The vertex counts are updated in place and the state is O(n), which
+    makes exhaustive sweeps over hundreds of thousands of triangulations
+    practical.
     """
     check_sweep(n, cap)
     counts = [0] * n
-
-    def rec(lo, hi):
-        if hi - lo < 2:
-            yield True
-            return
-        for apex in range(lo + 1, hi):
-            counts[lo] += 1
-            counts[apex] += 1
-            counts[hi] += 1
-            for _ in rec(lo, apex):
-                yield from rec(apex, hi)
-            counts[lo] -= 1
-            counts[apex] -= 1
-            counts[hi] -= 1
-
-    for _ in rec(0, n - 1):
+    frames = []
+    push = frames.append
+    pop = frames.pop
+    pending = ((0, n - 1), None)
+    while True:
+        while pending is not None:
+            (lo, hi), pending = pending
+            for k in range(lo, hi - 1):
+                push((k, hi, k + 1, pending))
+                counts[k] += 1
+                counts[k + 1] += 1
+            counts[hi] += hi - lo - 1
         yield tuple(counts)
+        while frames:
+            lo, hi, apex, rest = pop()
+            counts[apex] -= 1
+            if apex < hi - 1:
+                break
+            counts[lo] -= 1
+            counts[hi] -= 1
+        else:
+            return
+        apex += 1
+        counts[apex] += 1
+        push((lo, hi, apex, rest))
+        if hi - apex >= 2:
+            rest = ((apex, hi), rest)
+        pending = ((lo, apex), rest) if apex - lo >= 2 else rest
 
 
 class Leaf:

@@ -37,6 +37,7 @@ degenerate 2-gon arm (k = 1) enters as the placeholder (0, 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,8 +94,24 @@ def dihedral_images(entries):
 
 
 def canonical_form(entries) -> tuple:
-    """Lexicographically least among all rotations of the sequence and its reversal."""
-    return min(dihedral_images(entries))
+    """Lexicographically least among all rotations of the sequence and its reversal.
+
+    This is ``min(dihedral_images(entries))``, but the least image starts
+    with the least entry, so only the rotations that start at a position
+    holding ``min(seq)`` are sliced: forward from t, and backward from t
+    (the rotation of the reversal that starts at entry t).
+    """
+    seq = tuple(entries)
+    n = len(seq)
+    low = min(seq)
+    doubled = seq + seq
+    rdoubled = doubled[::-1]
+    images = []
+    for t in range(n):
+        if seq[t] == low:
+            images.append(doubled[t:t + n])
+            images.append(rdoubled[n - 1 - t:2 * n - 1 - t])
+    return min(images)
 
 
 def canonicalize(entries) -> OrbitCanon:
@@ -128,8 +145,13 @@ def classify(entries) -> SeqClassification:
     return SeqClassification(period=period, category=category)
 
 
+@functools.lru_cache(maxsize=None)
 def _tsa(length: int):
-    """(T, S, A) for sub-polygon counting; length 2 is the degenerate 2-gon."""
+    """(T, S, A) for sub-polygon counting; length 2 is the degenerate 2-gon.
+
+    Cached per length: K_n asks for the same arc lengths thousands of
+    times, and the cache holds at most one int triple per length up to n.
+    """
     if length == 2:
         return (1, 1, 0)
     t = catalan(length - 2)

@@ -183,7 +183,10 @@ def eval_tokens(text: str) -> Mat2:
         elif tok == "U":
             x += 1
         elif tok.startswith("U^"):
-            x += int(tok[2:])
+            try:
+                x += int(tok[2:])
+            except ValueError:
+                raise ValueError(f"bad word token: {tok!r}") from None
         else:
             raise ValueError(f"bad word token: {tok!r}")
     return Mat2(*_times_u(word_product(exponents), x))

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -332,3 +335,37 @@ def test_readme_example_runs(argv, capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.strip()
+
+
+LOADING_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("quiddity."))
+
+import quiddity.cli
+after_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quiddity.cli.main(["tiling", "--formula-paper", "--window=-1:1,-1:1"])
+after_tiling = loaded()
+import quiddity
+quiddity.eta
+after_attribute = loaded()
+namespace = {}
+exec("from quiddity import *", namespace)
+missing = [name for name in quiddity.__all__ if name not in namespace]
+print(json.dumps([after_import, code, after_tiling, after_attribute, missing]))
+"""
+
+
+def test_modules_load_per_command():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", LOADING_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    after_import, code, after_tiling, after_attribute, missing = json.loads(proc.stdout)
+    assert after_import == ["quiddity.cli", "quiddity.errors"]
+    assert code == 0
+    assert after_tiling == ["quiddity.cli", "quiddity.errors", "quiddity.tiling"]
+    assert "quiddity.eta" in after_attribute and "quiddity.similarity" not in after_attribute
+    assert missing == []

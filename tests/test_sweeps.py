@@ -1,0 +1,95 @@
+"""The sweep kernels against independent references.
+
+Formula K_n (on the cached ``_tsa``) and the brute force against a
+Burnside closed form, ``canonical_form`` (min-start slices) against the
+minimum over all 2n dihedral images, and the memory of the brute force
+(on the ``iter_quiddities`` odometer) against a recursive sweep.  The
+order of ``iter_quiddities`` is checked in test_polygons.py.
+"""
+
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quiddity import polygons, similarity
+from quiddity.similarity import canonical_form, catalan, dihedral_images
+
+# Shared machines stall for long stretches; a deadline would time the machine.
+relaxed = settings(deadline=None)
+
+
+def burnside_k(n: int) -> int:
+    """K_n by Burnside's lemma over the dihedral group of the n-gon.
+
+    2n*K_n = C_{n-2} + [n even]*(3n/2)*C_{n/2-1} + [n odd]*n*C_{(n-3)/2}
+             + [3|n]*(2n/3)*C_{n/3-1}
+    (identity; half-turn and vertex-axis reflections; odd-n reflections;
+    third-turns).  Moon and Moser, Canad. Math. Bull. 6 (1963); OEIS A000207.
+    """
+    total = catalan(n - 2)
+    if n % 2 == 0:
+        total += 3 * n // 2 * catalan(n // 2 - 1)
+    else:
+        total += n * catalan((n - 3) // 2)
+    if n % 3 == 0:
+        total += 2 * n // 3 * catalan(n // 3 - 1)
+    assert total % (2 * n) == 0, n
+    return total // (2 * n)
+
+
+def test_burnside_matches_the_tripartition_formula():
+    for n in [*range(3, 301), *range(990, 1001)]:
+        assert similarity.count_types(n) == burnside_k(n), n
+
+
+def test_burnside_matches_brute_force(quiddities_by_n):
+    for n, quiddities in quiddities_by_n.items():
+        assert len({canonical_form(q) for q in quiddities}) == burnside_k(n), n
+
+
+@relaxed
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=20).map(tuple))
+def test_canonical_form_is_the_least_dihedral_image(seq):
+    assert canonical_form(seq) == min(dihedral_images(seq))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def recursive_quiddities(n):
+    """The recursion the odometer replaced: one generator per arc, counts in place."""
+    counts = [0] * n
+
+    def rec(lo, hi):
+        if hi - lo < 2:
+            yield
+            return
+        for apex in range(lo + 1, hi):
+            for v in (lo, apex, hi):
+                counts[v] += 1
+            for _ in rec(lo, apex):
+                yield from rec(apex, hi)
+            for v in (lo, apex, hi):
+                counts[v] -= 1
+
+    for _ in rec(0, n - 1):
+        yield tuple(counts)
+
+
+def test_brute_count_keeps_no_more_memory_than_a_recursive_sweep():
+    def reference(n):
+        return len({canonical_form(q) for q in recursive_quiddities(n)})
+
+    def brute(n):
+        return similarity.count_types(n, method="brute")
+
+    for sweep in (reference, brute):  # first calls allocate one-off caches
+        sweep(8)
+    assert _peak_bytes(lambda: brute(12)) <= _peak_bytes(lambda: reference(12)) + 512 * 1024

@@ -15,15 +15,15 @@ zero-argument callable) per other format; ``verify`` adds its exit code.
 ``main`` alone prints the requested format and turns errors into the
 ``error: ...`` line and exit code.
 
-Modules load per command: this module imports only the stdlib and the
-exception types, and each handler imports the package modules it runs,
-so ``quiddity tiling`` never loads the similarity or polygon code.
+Modules load per command: this module imports only ``argparse``, ``sys``
+and the exception types, and each handler imports the package modules it
+runs, so ``quiddity tiling`` never loads the similarity or polygon code.
+``json`` loads only for ``--format json`` and for reading factor files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import (
@@ -49,6 +49,12 @@ def _ints(text: str, count: int, message: str, sep: str = ",") -> tuple:
     if len(values) != count:
         raise InvalidSequenceError(message)
     return values
+
+
+def _dumps(payload) -> str:
+    import json  # loaded here, so text output never pays for it
+
+    return json.dumps(payload)
 
 
 def _flag(value: bool) -> str:
@@ -112,7 +118,7 @@ def cmd_types(args):
 def cmd_supplement(args):
     from . import eta, supplements
 
-    seq = supplements.check_basic(eta.parse_sequence_loose(args.sequence))
+    seq = supplements.check_basic(eta.parse_sequence(args.sequence, min_length=1))
     supp = supplements.supplement(seq)
     valid = eta.is_eta(seq + supp)
     payload = {"input": list(seq), "supplement": list(supp), "concatenation_valid": valid}
@@ -123,7 +129,7 @@ def cmd_supplement(args):
 def cmd_extend(args):
     from . import eta, supplements
 
-    blocks = [eta.parse_sequence_loose(tok) for tok in args.blocks if tok != "+"]
+    blocks = [eta.parse_sequence(tok, min_length=1) for tok in args.blocks if tok != "+"]
     result = supplements.extend_superbasic(blocks)
     valid = eta.is_eta(result)
     payload = {"blocks": [list(b) for b in blocks], "quiddity": list(result), "valid": valid}
@@ -158,7 +164,8 @@ def cmd_tree(args):
     payload = t.to_json_dict()
     payload["tree"] = polygons.bracket(tree)
     return payload, {
-        "text": lambda: f"diagonals: {json.dumps(payload['diagonals'])}\ntree: {payload['tree']}",
+        # str() of a list of int pairs is its JSON text
+        "text": lambda: f"diagonals: {payload['diagonals']}\ntree: {payload['tree']}",
         "dot": lambda: polygons.tree_to_dot(tree),
     }
 
@@ -174,6 +181,8 @@ def _parse_window(text: str):
 
 
 def _load_factors(path: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -259,7 +268,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         payload, renderers, *code = args.func(args)
-        text = json.dumps(payload) if args.format == "json" else renderers[args.format]()
+        text = _dumps(payload) if args.format == "json" else renderers[args.format]()
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

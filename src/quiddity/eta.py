@@ -22,11 +22,11 @@ from . import sl2
 from .errors import ContractionError, InvalidSequenceError
 
 
-def as_sequence(entries) -> tuple:
-    """Normalize to a tuple and check length >= 3 and positivity."""
+def as_sequence(entries, min_length: int = 3) -> tuple:
+    """Normalize to a tuple and check length >= min_length and positivity."""
     seq = tuple(entries)
-    if len(seq) < 3:
-        raise InvalidSequenceError(f"need at least 3 entries, got {len(seq)}")
+    if len(seq) < min_length:
+        raise InvalidSequenceError(f"need at least {min_length} entries, got {len(seq)}")
     for x in seq:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise InvalidSequenceError(f"entries must be positive integers, got {x!r}")
@@ -122,29 +122,18 @@ def contract(entries, i: int) -> tuple:
     return tuple(seq)
 
 
-def parse_sequence(text: str) -> tuple:
-    """Parse '2,1,3,1,2' into a validated tuple."""
+def parse_sequence(text: str, min_length: int = 3) -> tuple:
+    """Parse '2,1,3,1,2' into a tuple of at least min_length positive ints.
+
+    Basic sequences may be as short as (1, A), so they are parsed with
+    ``min_length=1``; their own shape checks live in
+    :mod:`quiddity.supplements`.
+    """
     try:
         entries = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise InvalidSequenceError(f"cannot parse sequence {text!r}") from exc
-    return as_sequence(entries)
-
-
-def parse_sequence_loose(text: str) -> tuple:
-    """Parse comma-separated positive integers without the length-3 minimum.
-
-    Basic sequences may be as short as (1, A); their own shape checks live
-    in :mod:`quiddity.supplements`.
-    """
-    try:
-        entries = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InvalidSequenceError(f"cannot parse sequence {text!r}") from exc
-    for x in entries:
-        if x < 1:
-            raise InvalidSequenceError(f"entries must be positive integers, got {x}")
-    return entries
+    return as_sequence(entries, min_length)
 
 
 def format_sequence(entries) -> str:

@@ -25,18 +25,16 @@ lower-left entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import eta, sl2
 from .errors import NotQuiddityError
 
 
-@dataclass(frozen=True)
-class FriezeWindow:
+class FriezeWindow(namedtuple("FriezeWindow", "n rows")):
     """One period of rows 0..n of an integer frieze; rows[i][j] = phi(i, j)."""
 
-    n: int
-    rows: tuple
+    __slots__ = ()
 
     def value(self, i: int, j: int) -> int:
         return self.rows[i][j % self.n]
@@ -93,12 +91,10 @@ def continuant(entries) -> int:
     return cur
 
 
-@dataclass(frozen=True)
-class MatrixFriezeWindow:
-    """Rows 0..n of the matrix frieze seeded by -S and U^{a_j}."""
+class MatrixFriezeWindow(namedtuple("MatrixFriezeWindow", "n cells")):
+    """Rows 0..n of the matrix frieze seeded by -S and U^{a_j}; cells[i][j] is a Mat2."""
 
-    n: int
-    cells: tuple  # cells[i][j] is a Mat2
+    __slots__ = ()
 
     def cell(self, i: int, j: int) -> sl2.Mat2:
         return self.cells[i][j % self.n]
@@ -172,16 +168,12 @@ def render_frieze(window: FriezeWindow) -> str:
     """
     n = window.n
     shown = range(1, n)
-    width = max(
-        len(str(window.value(i, j))) for i in shown for j in range(n)
-    )
+    width = max(len(str(window.value(i, j))) for i in shown for j in range(n))
     half = (width + 3) // 2
     lines = []
     for i in shown:
         j0 = -((i - 1) // 2)
-        cells = "  ".join(
-            str(window.value(i, j0 + t)).rjust(width) for t in range(n)
-        )
+        cells = "  ".join(str(window.value(i, j0 + t)).rjust(width) for t in range(n))
         indent = " " * half if i % 2 == 0 else ""
         lines.append((indent + cells).rstrip())
     return "\n".join(lines)

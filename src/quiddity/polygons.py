@@ -29,18 +29,16 @@ direction, ``from_quiddity``, is a linear ear clipper, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import eta
 from .errors import InvalidSequenceError, NotQuiddityError
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(namedtuple("Triangulation", "n diagonals")):
     """n vertices in convex position plus a sorted tuple of diagonals."""
 
-    n: int
-    diagonals: tuple
+    __slots__ = ()
 
     def to_json_dict(self):
         return {"n": self.n, "diagonals": [list(d) for d in self.diagonals]}
@@ -295,18 +293,11 @@ class Branch:
     is_leaf = False
 
 
-@dataclass(frozen=True)
-class DualTree:
-    """Rooted full binary dual tree of a triangulation.
-
-    ``root_side`` is the polygon side the tree hangs from, in original
-    vertex labels; leaf ``side`` indices count sides counterclockwise
-    starting just after the root side (0 is the side named ``b``).
-    """
-
-    n: int
-    root: object
-    root_side: tuple
+# Rooted full binary dual tree of a triangulation.  ``root_side`` is the
+# polygon side the tree hangs from, in original vertex labels; leaf ``side``
+# indices count sides counterclockwise starting just after the root side
+# (0 is the side named ``b``).
+DualTree = namedtuple("DualTree", "n root root_side")
 
 
 def side_name(index: int) -> str:

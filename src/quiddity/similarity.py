@@ -18,10 +18,11 @@ Counting machinery:
   sub-polygons yields a closed count N(i, j, k) per partition, and
   K_n is the sum over all perfect tri-partitions.
 * The same gluing, run over actual sequences instead of counts, enumerates
-  one representative per type; a brute force over all triangulations is
-  kept alongside as the oracle.  Both are exhaustive sweeps, refused above
-  ``polygons.SWEEP_CAP`` (14) unless ``cap=`` raises it; the cap and its
-  range check live in :mod:`quiddity.polygons` only.
+  one representative per type; brute forces over all triangulations, by
+  orbit counting and by canonical forms, are kept alongside as oracles.
+  All are exhaustive sweeps, refused above ``polygons.SWEEP_CAP`` (14)
+  unless ``cap=`` raises it; the cap and its range check live in
+  :mod:`quiddity.polygons` only.
 
 The ternary composition law sits underneath: given quiddity sequences a,
 b, c of an (i+1)-, (j+1)- and (k+1)-gon arranged counterclockwise around a
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import eta, polygons
 from .errors import InvalidSequenceError
@@ -55,29 +56,19 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-@dataclass(frozen=True)
-class OrbitCanon:
-    """Least dihedral image of a sequence plus the size of its orbit."""
+# Least dihedral image of a sequence plus the size of its orbit.
+OrbitCanon = namedtuple("OrbitCanon", "canon orbit_size")
 
-    canon: tuple
-    orbit_size: int
+SeqClassification = namedtuple("SeqClassification", "period category")
 
 
-@dataclass(frozen=True)
-class SeqClassification:
-    period: int
-    category: str
+class TriPartition(namedtuple("TriPartition", "i j k case")):
+    """Arc lengths i >= j >= k of a central cell and their case letter."""
 
-
-@dataclass(frozen=True)
-class TriPartition:
-    i: int
-    j: int
-    k: int
-    case: str
+    __slots__ = ()
 
     def parts(self):
-        return (self.i, self.j, self.k)
+        return self[:3]
 
 
 def dihedral_images(entries):
@@ -275,14 +266,43 @@ def brute_type_set(n: int, cap: int = None):
     return {canonical_form(q) for q in polygons.iter_quiddities(n, cap)}
 
 
+def _stabilizer_sum(quiddities, n: int) -> int:
+    """Sum over quiddities q of |Stab(q)| in the dihedral group of the n-gon.
+
+    Periods are n, n/2 or n/3, so one slice comparison each tests the half
+    and third turns; the order doubles when the reversed word is a
+    substring of the doubled word.  Entries are at most n - 2: words are
+    bytes up to n = 257 and strings of code points beyond.
+    """
+    h, t = n // 2, n // 3
+    halves, thirds = n % 2 == 0, n % 3 == 0
+    word = bytes if n <= 257 else lambda q: "".join(map(chr, q))
+    total = 0
+    for q in quiddities:
+        size = 1
+        if halves and q[:h] == q[h:]:
+            size = 2
+        elif thirds and q[:t] == q[t:2 * t] == q[2 * t:]:
+            size = 3
+        w = word(q)
+        if w[::-1] in w + w:
+            size *= 2
+        total += size
+    return total
+
+
 def count_types(n: int, method: str = "formula", cap: int = None) -> int:
-    """K_n, the number of similarity types of length-n quiddity sequences."""
+    """K_n, the number of similarity types of length-n quiddity sequences.
+
+    ``brute`` counts orbits over all triangulations by Burnside's lemma,
+    K_n = sum of |Stab(q)| / 2n, without canonical forms.
+    """
     if method == "formula":
         if n < 3:
             raise ValueError(f"n must be >= 3, got {n}")
         return sum(case_count(tp) for tp in perfect_tripartitions(n))
     if method == "brute":
-        return len(brute_type_set(n, cap=cap))
+        return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)
     raise ValueError(f"method must be 'formula' or 'brute', got {method!r}")
 
 

@@ -28,7 +28,7 @@ frieze in :mod:`quiddity.frieze`.  The Euclidean descent behind
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSequenceError, NotUnimodularError
 
@@ -37,18 +37,26 @@ from .errors import InvalidSequenceError, NotUnimodularError
 NORMAL_FORM_LETTER_CAP = 100_000
 
 
-@dataclass(frozen=True, slots=True)
 class Mat2:
-    """A 2x2 integer matrix of determinant 1."""
+    """A 2x2 integer matrix of determinant 1; equal only to a Mat2 with the same entries."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        if a * d - b * c != 1:
             raise NotUnimodularError(f"determinant is not 1: {self.rows()}")
+
+    def __eq__(self, other):
+        if type(other) is not Mat2:
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self):
+        return hash(self.entries())
+
+    def __repr__(self):
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -131,8 +139,7 @@ def _times_u(m, x: int) -> tuple:
     return a + b * x, b, c + d * x, d
 
 
-@dataclass(frozen=True)
-class SUWord:
+class SUWord(namedtuple("SUWord", "factors prefix_s trailing_s", defaults=(False, True))):
     """A word S^b0 * U^a1*S * U^a2*S * ... * U^an * S^b1.
 
     ``factors`` holds the exponents (a1, ..., an); every factor is followed
@@ -141,9 +148,7 @@ class SUWord:
     criterion additionally wants them all >= 1.
     """
 
-    factors: tuple
-    prefix_s: bool = False
-    trailing_s: bool = True
+    __slots__ = ()
 
     def __str__(self):
         parts = ["S"] if self.prefix_s else []
@@ -211,8 +216,7 @@ def element_order(m: Mat2):
     return _TORSION_ORDER.get(tr)
 
 
-@dataclass(frozen=True)
-class TSNormalForm:
+class TSNormalForm(namedtuple("TSNormalForm", "sign b0 exponents b1")):
     """sign * T^b0 * S * T^e1 * S * ... * T^en * S^b1 with each e in {1, 2}.
 
     b0 ranges over {0, 1, 2}: a leading T^2 (e.g. for the matrix T^2
@@ -220,10 +224,7 @@ class TSNormalForm:
     of S^2.  b1 is {0, 1}.
     """
 
-    sign: int
-    b0: int
-    exponents: tuple
-    b1: int
+    __slots__ = ()
 
     def to_matrix(self) -> Mat2:
         # T == U^-1*S and S == U^0*S, so the form is one U/S word

@@ -23,7 +23,7 @@ Both computations agree; the tree reading is the one the package exports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import eta
 from .errors import InvalidSequenceError
@@ -148,19 +148,12 @@ def extend_superbasic(seqs) -> tuple:
     return tuple(completed)
 
 
-@dataclass(frozen=True)
-class Embeddability:
-    """Outcome of an embeddability search.
-
-    ``embeddable`` is True/False when decided, None when the bounded
-    search was exhausted without an answer.  ``witness`` is a quiddity
-    sequence starting with the query, ``obstruction`` a human-readable
-    certificate when the answer is no.
-    """
-
-    embeddable: object
-    witness: tuple = None
-    obstruction: str = None
+# Outcome of an embeddability search.  ``embeddable`` is True/False when
+# decided, None when the bounded search was exhausted without an answer.
+# ``witness`` is a quiddity sequence starting with the query,
+# ``obstruction`` a human-readable certificate when the answer is no.
+Embeddability = namedtuple("Embeddability", "embeddable witness obstruction",
+                           defaults=(None, None))
 
 
 def is_embeddable(entries, max_length: int = None) -> Embeddability:

@@ -28,18 +28,15 @@ by column and then the window row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError
 
 
-@dataclass(frozen=True)
-class TilingWindow:
-    i0: int
-    i1: int
-    j0: int
-    j1: int
-    values: tuple  # values[i - i0][j - j0]
+class TilingWindow(namedtuple("TilingWindow", "i0 i1 j0 j1 values")):
+    """Cells [i0..i1] x [j0..j1] of a tiling; values[i - i0][j - j0]."""
+
+    __slots__ = ()
 
     def value(self, i: int, j: int) -> int:
         return self.values[i - self.i0][j - self.j0]
@@ -58,26 +55,32 @@ class TilingWindow:
 
     def render(self) -> str:
         width = max(len(str(x)) for row in self.values for x in row)
-        return "\n".join(
-            " ".join(str(x).rjust(width) for x in row) for row in self.values
-        )
+        return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.values)
 
 
-@dataclass
 class FactorVectors:
     """Column factors k[j] and row factors l[i], on interior indices."""
 
-    k: dict = field(default_factory=dict)
-    l: dict = field(default_factory=dict)
+    __slots__ = ("k", "l")
+
+    def __init__(self, k: dict = None, l: dict = None):
+        self.k = {} if k is None else k
+        self.l = {} if l is None else l
+
+    def __eq__(self, other):
+        if type(other) is not FactorVectors:
+            return NotImplemented
+        return (self.k, self.l) == (other.k, other.l)
+
+    def __repr__(self):
+        return f"FactorVectors(k={self.k!r}, l={self.l!r})"
 
 
 def window_from_values(i0: int, j0: int, values) -> TilingWindow:
     rows = tuple(tuple(row) for row in values)
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise NotAPositiveTilingError("window rows must be nonempty and rectangular")
-    return TilingWindow(
-        i0=i0, i1=i0 + len(rows) - 1, j0=j0, j1=j0 + len(rows[0]) - 1, values=rows
-    )
+    return TilingWindow(i0, i0 + len(rows) - 1, j0, j0 + len(rows[0]) - 1, rows)
 
 
 def formula_tiling(i: int, j: int) -> int:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -369,3 +370,61 @@ def test_modules_load_per_command():
     assert after_tiling == ["quiddity.cli", "quiddity.errors", "quiddity.tiling"]
     assert "quiddity.eta" in after_attribute and "quiddity.similarity" not in after_attribute
     assert missing == []
+
+
+# One cheap invocation per COMMANDS row; none reads a factor file.
+BUDGET_ARGV = {
+    "verify": ["verify", "2,1,3,1,2"],
+    "frieze": ["frieze", "4,2,1,3,2,2,1"],
+    "count": ["count", "--n", "8", "--method", "brute"],
+    "types": ["types", "--n", "7"],
+    "supplement": ["supplement", "1,2,2,6"],
+    "extend": ["extend", "1,3,3", "+", "1,3,4"],
+    "reduce": ["reduce", "U^2*S*U*S"],
+    "tree": ["tree", "1,2,2,1,3"],
+    "tiling": ["tiling", "--formula-paper", "--window=-2:2,-2:2"],
+}
+
+BUDGET_PROBE = """
+import io, sys
+from quiddity.cli import main
+
+def run(argv):
+    sys.stdout = io.StringIO()
+    try:
+        code = main(argv)
+    finally:
+        sys.stdout = sys.__stdout__
+    return code, sorted(sys.modules)
+
+argv = sys.argv[1:]
+text = run(argv)
+print(repr([text, run(argv + ["--format", "json"])]))
+"""
+
+HEAVY = {"dataclasses", "inspect", "ast"}
+
+
+def test_import_budget_per_command():
+    """No command loads dataclasses, inspect or ast; text output never loads json.
+
+    Each command runs in a fresh interpreter, first in text and then in
+    json format, and the modules it added are those missing from a bare
+    interpreter (whose site hooks may load anything).
+    """
+    assert set(BUDGET_ARGV) == {name for name, *_ in COMMANDS}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(sorted(sys.modules))"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    baseline = set(ast.literal_eval(bare.stdout))
+    for name, argv in BUDGET_ARGV.items():
+        proc = subprocess.run([sys.executable, "-c", BUDGET_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        (text_code, text_modules), (json_code, json_modules) = ast.literal_eval(proc.stdout)
+        assert (text_code, json_code) == (0, 0), name
+        added_by_text = set(text_modules) - baseline
+        added = set(json_modules) - baseline
+        assert not added & HEAVY, (name, sorted(added & HEAVY))
+        assert "json" not in added_by_text, name
+        assert "json" in added, name

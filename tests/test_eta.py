@@ -144,10 +144,10 @@ class TestThreeOracleEquivalence:
 def test_parse_and_format():
     assert eta.parse_sequence("2,1,3,1,2") == (2, 1, 3, 1, 2)
     assert eta.format_sequence((2, 1, 3, 1, 2)) == "2,1,3,1,2"
-    assert eta.parse_sequence_loose("1,4") == (1, 4)
+    assert eta.parse_sequence("1,4", min_length=1) == (1, 4)
     with pytest.raises(InvalidSequenceError):
         eta.parse_sequence("1,1")
     with pytest.raises(InvalidSequenceError):
         eta.parse_sequence("1,x,2")
     with pytest.raises(InvalidSequenceError):
-        eta.parse_sequence_loose("0,3")
+        eta.parse_sequence("0,3", min_length=1)

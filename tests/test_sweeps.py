@@ -1,10 +1,13 @@
 """The sweep kernels against independent references.
 
 Formula K_n (on the cached ``_tsa``) and the brute force against a
-Burnside closed form, ``canonical_form`` (min-start slices) against the
-minimum over all 2n dihedral images, and the memory of the brute force
-(on the ``iter_quiddities`` odometer) against a recursive sweep.  The
-order of ``iter_quiddities`` is checked in test_polygons.py.
+Burnside closed form, the orbit-counting brute K_n against the set of
+canonical forms and against the formula, its stabilizer orders against a
+count of the fixing dihedral images, ``canonical_form`` (min-start
+slices) against the minimum over all 2n dihedral images, and the memory
+of the brute force (on the ``iter_quiddities`` odometer) against a
+recursive sweep.  The order of ``iter_quiddities`` is checked in
+test_polygons.py.
 """
 
 import tracemalloc
@@ -12,7 +15,7 @@ import tracemalloc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiddity import polygons, similarity
+from quiddity import eta, polygons, similarity, supplements
 from quiddity.similarity import canonical_form, catalan, dihedral_images
 
 # Shared machines stall for long stretches; a deadline would time the machine.
@@ -46,6 +49,38 @@ def test_burnside_matches_the_tripartition_formula():
 def test_burnside_matches_brute_force(quiddities_by_n):
     for n, quiddities in quiddities_by_n.items():
         assert len({canonical_form(q) for q in quiddities}) == burnside_k(n), n
+
+
+def test_orbit_count_matches_the_canonical_form_sweep():
+    for n in range(3, 13):
+        assert similarity.count_types(n, "brute") == len(similarity.brute_type_set(n)), n
+
+
+def test_orbit_count_matches_the_formula():
+    for n in range(3, 14):
+        assert similarity.count_types(n, "brute") == similarity.count_types(n), n
+
+
+def fixing_images(q) -> int:
+    """|Stab(q)|: the dihedral images of q, one per group element, equal to q."""
+    return sum(image == q for image in dihedral_images(q))
+
+
+def test_stabilizer_orders(quiddities_by_n):
+    for n, quiddities in quiddities_by_n.items():
+        for q in quiddities:
+            assert similarity._stabilizer_sum([q], n) == fixing_images(q), q
+
+
+def test_stabilizer_orders_beyond_byte_entries():
+    # entries above 255 take the code-point words instead of bytes
+    arm = supplements.fan(255)
+    cases = [supplements.fan(298), similarity.compose(arm, arm, arm),
+             eta.expand(similarity.compose(arm, arm, arm), 5)]
+    for q in cases:
+        assert max(q) > 255
+        assert similarity._stabilizer_sum([q], len(q)) == fixing_images(q), q
+    assert [fixing_images(q) for q in cases] == [2, 3, 1]
 
 
 @relaxed

@@ -11,8 +11,6 @@ through the module ``__getattr__`` below, so a CLI process loads only the
 modules its command runs.
 """
 
-import importlib
-
 from .errors import (
     ContractionError,
     InconsistentFactorsError,
@@ -38,5 +36,6 @@ __all__ = [
 def __getattr__(name):
     # Called only for names not yet set: importing a submodule binds it here.
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")  # a plain import, so -X importtime times it
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

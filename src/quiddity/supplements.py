@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import eta
 from .errors import InvalidSequenceError
 
 
@@ -148,91 +147,62 @@ def extend_superbasic(seqs) -> tuple:
     return tuple(completed)
 
 
-# Outcome of an embeddability search.  ``embeddable`` is True/False when
-# decided, None when the bounded search was exhausted without an answer.
-# ``witness`` is a quiddity sequence starting with the query,
-# ``obstruction`` a human-readable certificate when the answer is no.
+# Outcome of the embeddability decision.  ``embeddable`` is True or False;
+# ``witness`` is a quiddity sequence starting with the query when it is True,
+# ``obstruction`` a human-readable certificate when it is False.
 Embeddability = namedtuple("Embeddability", "embeddable witness obstruction",
                            defaults=(None, None))
+_ADJACENT_ONES = "adjacent 1s cannot occur in a quiddity sequence of length >= 4"
 
 
-def is_embeddable(entries, max_length: int = None) -> Embeddability:
+def is_embeddable(entries) -> Embeddability:
     """Can the sequence sit inside a strictly larger quiddity sequence?
 
     "Inside" means as a contiguous segment with at least two entries added
-    around it, so the segment has a neighbour on both sides in the cyclic
-    result.  Certified obstructions: two adjacent 1s, or a 1 flanked by 2s
-    (contracting the 1 would force adjacent 1s, impossible at length >= 4;
-    the lone exception (2,1,2,1) adds only one entry).  Otherwise a
-    bounded search tries completions up to ``max_length`` (default:
-    len(entries) + 8) and may report None = unknown at the bound.
+    around it.  The result then has length >= 4, so it has no adjacent 1s
+    (a 1 flanked by 2s would leave some) and each 1 of the segment is an
+    ear.  Contracting it inside the segment keeps the answer, and
+    :func:`eta.expand` undoes that.  So one left-to-right pass contracts the
+    1s until adjacent 1s answer no, or until what is left completes by a fan
+    or a supplement; replaying the contractions as expansions of that
+    completion gives a witness starting with the query.
     """
     seq = tuple(entries)
     for x in seq:
         if not isinstance(x, int) or x < 1:
             raise InvalidSequenceError(f"entries must be positive integers, got {x!r}")
-    if max_length is None:
-        max_length = len(seq) + 8
-    if len(seq) == 0:
-        return Embeddability(True, witness=(1, 1, 1))
-    if len(seq) == 1:
-        return Embeddability(True, witness=fan(seq[0]))
+    if (1, 1) in zip(seq, seq[1:]):
+        return Embeddability(False, obstruction=_ADJACENT_ONES)
+    if (2, 1, 2) in zip(seq, seq[1:], seq[2:]):
+        return Embeddability(False, obstruction=(
+            "interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
+            "impossible in any quiddity sequence of length >= 4"))
 
-    for i in range(len(seq) - 1):
-        if seq[i] == 1 and seq[i + 1] == 1:
-            return Embeddability(
-                False,
-                obstruction="adjacent 1s cannot occur in a quiddity sequence of length >= 4",
-            )
-    for i in range(len(seq) - 2):
-        if seq[i] == 2 and seq[i + 1] == 1 and seq[i + 2] == 2:
-            return Embeddability(
-                False,
-                obstruction=(
-                    "interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
-                    "impossible in any quiddity sequence of length >= 4"
-                ),
-            )
-
-    # fast constructive witnesses
-    if seq[0] == 1 and all(x >= 2 for x in seq[1:]) and len(seq) >= 2:
-        witness = seq + supplement(seq)
-        if len(witness) >= len(seq) + 2:
-            return Embeddability(True, witness=witness)
-    if seq[0] == 1:
-        cuts = [i for i, x in enumerate(seq) if x == 1] + [len(seq)]
-        blocks = [seq[cuts[t]:cuts[t + 1]] for t in range(len(cuts) - 1)]
-        try:
-            for b in blocks:
-                check_superbasic(b)
-            return Embeddability(True, witness=extend_superbasic(blocks))
-        except InvalidSequenceError:
-            pass
-
-    # bounded brute-force completion: q = seq + t, sum forced by 3L - 6
-    base = sum(seq)
-    for total_len in range(len(seq) + 2, max_length + 1):
-        m = total_len - len(seq)
-        budget = 3 * total_len - 6 - base
-        if budget < m:
-            continue
-        cap = total_len - 2
-        tail = []
-
-        def search(remaining, slots):
-            if slots == 0:
-                if remaining == 0 and eta.is_eta(seq + tuple(tail)):
-                    return True
-                return False
-            lo = max(1, remaining - cap * (slots - 1))
-            hi = min(cap, remaining - (slots - 1))
-            for x in range(lo, hi + 1):
-                tail.append(x)
-                if search(remaining - x, slots - 1):
-                    return True
-                tail.pop()
-            return False
-
-        if search(budget, m):
-            return Embeddability(True, witness=seq + tuple(tail))
-    return Embeddability(None, obstruction=f"no completion found up to length {max_length}")
+    rest, ears = [], []  # the segment with its 1s contracted; their positions
+    for k, x in enumerate(seq):
+        while rest and rest[-1] == 1:  # only the last entry of rest can be 1
+            if x == 1:
+                left = tuple(rest) + (x,) + seq[k + 1:]
+                return Embeddability(
+                    False, obstruction=f"contracting its 1s leaves {left}: {_ADJACENT_ONES}")
+            ears.append(len(rest) - 1)
+            rest.pop()
+            if rest:
+                rest[-1] -= 1
+            x -= 1
+        rest.append(x)
+    while len(rest) > 1 and rest[-1] == 1:
+        ears.append(len(rest) - 1)
+        rest.pop()
+        rest[-1] -= 1
+    if not rest:
+        witness = [1, 1, 1]
+    elif len(rest) == 1:
+        witness = list(fan(rest[0]))
+    else:
+        witness = rest + list(supplement([1] + rest)) + [1]
+    for i in reversed(ears):  # eta.expand at the cyclic gap before position i
+        witness[i - 1] += 1
+        witness[i] += 1
+        witness.insert(i, 1)
+    return Embeddability(True, witness=tuple(witness))

@@ -372,6 +372,17 @@ def test_modules_load_per_command():
     assert missing == []
 
 
+def test_importtime_lists_package_modules():
+    """Submodules loaded on first access show up in ``-X importtime``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quiddity.cli",
+                           "verify", "2,1,3,1,2"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    timed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "quiddity.eta" in timed
+
+
 # One cheap invocation per COMMANDS row; none reads a factor file.
 BUDGET_ARGV = {
     "verify": ["verify", "2,1,3,1,2"],

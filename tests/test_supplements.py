@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity import eta, supplements
 from quiddity.errors import InvalidSequenceError
@@ -12,6 +14,38 @@ def all_basic(max_entry, max_len):
     for k in range(1, max_len):
         for tail in itertools.product(range(2, max_entry + 1), repeat=k):
             yield (1,) + tail
+
+
+def bounded_completion(seq, max_length):
+    """A quiddity sequence seq + t with 2 <= len(t) <= max_length - len(seq), or None.
+
+    Brute force over the tails whose sum makes the total 3n - 6, each entry
+    at most n - 2: an oracle for :func:`supplements.is_embeddable` that
+    shares none of its contraction argument.
+    """
+    for n in range(len(seq) + 2, max_length + 1):
+        budget = 3 * n - 6 - sum(seq)
+        for head in itertools.product(range(1, n - 1), repeat=n - len(seq) - 1):
+            last = budget - sum(head)
+            if 1 <= last <= n - 2 and eta.is_eta(seq + head + (last,)):
+                return seq + head + (last,)
+    return None
+
+
+def assert_witness(query, witness):
+    assert witness[: len(query)] == query
+    assert len(witness) >= len(query) + 2
+    assert eta.is_eta(witness)
+
+
+@st.composite
+def quiddities(draw, max_n=200):
+    """A quiddity sequence of length 4..max_n grown by random expansions."""
+    seq = (1, 1, 1)
+    n = draw(st.integers(4, max_n))
+    for p in draw(st.lists(st.integers(0, max_n), min_size=n - 3, max_size=n - 3)):
+        seq = eta.expand(seq, p % len(seq))
+    return seq
 
 
 class TestFan:
@@ -149,17 +183,53 @@ class TestEmbeddability:
         assert res.witness[:3] == (1, 5, 2)
         assert eta.is_eta(res.witness)
 
-    def test_search_path(self):
+    def test_contraction_path(self):
         res = supplements.is_embeddable((2, 2, 1))
         assert res.embeddable is True
         assert res.witness[:3] == (2, 2, 1)
         assert len(res.witness) >= 5
         assert eta.is_eta(res.witness)
 
-    def test_unknown_at_bound(self):
+    def test_decided_where_a_bounded_search_gave_up(self):
         res = supplements.is_embeddable((9, 9))
-        assert res.embeddable is None
-        assert "up to length" in res.obstruction
+        assert res.embeddable is True
+        assert_witness((9, 9), res.witness)
+        res = supplements.is_embeddable((1, 2, 1))
+        assert res.embeddable is False
+        assert "adjacent 1s" in res.obstruction
+
+    def test_exhaustive_small_entries(self):
+        """Every sequence with entries 1..5 and length 1..6 gets a valid answer."""
+        for length in range(1, 7):
+            for s in itertools.product(range(1, 6), repeat=length):
+                res = supplements.is_embeddable(s)
+                if res.embeddable:
+                    assert_witness(s, res.witness)
+                else:
+                    assert res.embeddable is False and res.obstruction, s
+
+    def test_no_is_confirmed_by_bounded_search(self):
+        noes = 0
+        for length in range(1, 6):
+            for s in itertools.product(range(1, 6), repeat=length):
+                if not supplements.is_embeddable(s).embeddable:
+                    noes += 1
+                    assert bounded_completion(s, length + 4) is None, s
+        assert noes > 0
+
+    def test_bounded_search_finds_short_witnesses(self):
+        for s in [(2, 2, 1), (1, 3, 3), (3, 1, 4), (3,)]:
+            assert_witness(s, bounded_completion(s, len(s) + 4))
+
+    @settings(deadline=None, max_examples=50)
+    @given(quiddities(), st.integers(0, 199), st.integers(0, 199))
+    def test_long_segments(self, q, r, p):
+        query = eta.rotate(q, r)[:-2]
+        res = supplements.is_embeddable(query)
+        assert res.embeddable is True
+        assert_witness(query, res.witness)
+        p %= len(query) + 1
+        assert supplements.is_embeddable(query[:p] + (1, 1) + query[p:]).embeddable is False
 
     def test_witnesses_really_contain_the_query(self):
         rng = random.Random(5)

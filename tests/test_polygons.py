@@ -329,11 +329,37 @@ def recursive_dot(tree):
     return "\n".join(lines)
 
 
+def recursive_runs(node):
+    """Branch visits before, between and after the leaves of a subtree.
+
+    A branch is visited before, between and after its two subtrees, so its
+    runs join its children's runs and add one visit at each joint.
+    """
+    if node.is_leaf:
+        return [0, 0]
+    left, right = recursive_runs(node.left), recursive_runs(node.right)
+    return [left[0] + 1, *left[1:-1], left[-1] + 1 + right[0], *right[1:-1], right[-1] + 1]
+
+
+def recursive_leaves(node):
+    return 1 if node.is_leaf else recursive_leaves(node.left) + recursive_leaves(node.right)
+
+
+def recursive_branches(node):
+    if node.is_leaf:
+        return 0
+    return 1 + recursive_branches(node.left) + recursive_branches(node.right)
+
+
 @relaxed
-@given(quiddities(40), st.data())
-def test_tree_walks_match_the_recursive_walks(q, data):
+@given(quiddities(40))
+def test_tree_walks_match_the_recursive_walks(q):
     n = len(q)
-    u = data.draw(st.integers(0, n - 1))
-    tree = polygons.to_dual_tree(polygons.from_quiddity(q), root_side=(u, (u + 1) % n))
-    assert polygons.bracket(tree) == recursive_bracket(tree.root)
-    assert polygons.tree_to_dot(tree) == recursive_dot(tree)
+    t = polygons.from_quiddity(q)
+    for u in range(n):
+        tree = polygons.to_dual_tree(t, root_side=(u, (u + 1) % n))
+        assert polygons.tree_quiddity(tree) == tuple(recursive_runs(tree.root))
+        assert polygons.leaf_count(tree) == recursive_leaves(tree.root)
+        assert polygons.internal_count(tree) == recursive_branches(tree.root)
+        assert polygons.bracket(tree) == recursive_bracket(tree.root)
+        assert polygons.tree_to_dot(tree) == recursive_dot(tree)

@@ -13,6 +13,14 @@ nodes are the triangles and whose n-1 leaves are the remaining sides
 b, c, d, ...; counting the internal nodes passed between consecutive
 leaves of the depth-first traversal recovers the quiddity sequence.
 
+Every readout of a dual tree consumes one walk, ``_tour``: the Euler tour,
+which visits a triangle before, between and after its two subtrees and a
+side once, left subtree first.  ``tree_quiddity`` counts the triangle
+visits between consecutive sides, ``bracket`` writes them as ``(``, ``,``
+and ``)``, ``tree_to_dot`` names a triangle at its first visit and joins
+it to its children at its last, and ``leaf_count`` and ``internal_count``
+count sides and triangles.
+
 Exhaustive enumeration of all triangulations (there are C_{n-2} of them,
 Catalan) is deterministic: recursion on the apex of the triangle resting
 on the base edge, apex increasing, left sub-polygon before right.  Every
@@ -319,13 +327,12 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     n = t.n
     if root_side is None:
         root_side = (n - 1, 0)
-    u, v = root_side
-    if (u + 1) % n == v:
-        start = v
-    elif (v + 1) % n == u:
-        start = u
-    else:
+    side = tuple(root_side)
+    if not (len(side) == 2 and all(isinstance(x, int) and 0 <= x < n for x in side)
+            and (side[1] - side[0]) % n in (1, n - 1)):
         raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
+    u, v = side
+    start = v if (u + 1) % n == v else u
     # relabel so the root side becomes (n-1, 0)
     chords = []
     for a, b in t.diagonals:
@@ -338,9 +345,7 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     stack = [(root, 0, n - 1)]
     while stack:
         node, lo, hi = stack.pop()
-        apex = apexes.get((lo, hi))
-        if apex is None:
-            raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
+        apex = apexes[lo, hi]  # every arc has one: the triangulation is valid
         if hi - apex == 1:
             node.right = Leaf(apex)
         else:
@@ -354,120 +359,77 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     return DualTree(n=n, root=root, root_side=(u, v))
 
 
+def _tour(tree: DualTree):
+    """Yield the Euler tour of the dual tree as (node, step) pairs.
+
+    A branch is visited three times, with step 0, 1 and 2: before, between
+    and after its two subtrees, left subtree first.  A leaf is visited once,
+    with step 0.  The tour runs on an explicit stack, so a fan of any size
+    stays within the recursion limit.
+    """
+    stack = [(tree.root, 0)]
+    while stack:
+        node, step = visit = stack.pop()
+        yield visit
+        if step == 0 and not node.is_leaf:
+            stack += ((node, 2), (node.right, 0), (node, 1), (node.left, 0))
+
+
 def tree_quiddity(tree: DualTree) -> tuple:
     """Depth-first run-count readout of the dual tree.
 
-    Walk the Euler tour; every time a leaf is reached, emit the number of
-    internal-node visits since the previous leaf.  The final climb back to
-    the root edge emits the last entry.  The result is the quiddity
-    sequence starting at the counterclockwise endpoint of the root side.
-
-    Like ``bracket`` and ``tree_to_dot``, the tour runs without recursion:
-    it descends left spines, keeping on a stack each branch whose right
-    subtree is still to come; the branch is replaced by None while that
-    subtree is walked, and each None popped after a leaf is a finished
-    branch.
+    The number of branch visits of the Euler tour before the first leaf,
+    between consecutive leaves and after the last leaf.  The result is the
+    quiddity sequence starting at the counterclockwise endpoint of the root
+    side.
     """
     runs = []
     count = 0
-    stack = []
-    node = tree.root
-    while True:
-        while not node.is_leaf:
+    for node, _ in _tour(tree):
+        if node.is_leaf:
+            runs.append(count)
+            count = 0
+        else:
             count += 1
-            stack.append(node)
-            node = node.left
-        runs.append(count)
-        count = 0
-        while stack and stack[-1] is None:
-            stack.pop()
-            count += 1
-        if not stack:
-            break
-        node = stack.pop().right
-        stack.append(None)
-        count += 1
     runs.append(count)
     return tuple(runs)
 
 
 def leaf_count(tree: DualTree) -> int:
-    leaves = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaves += 1
-        else:
-            stack += (node.right, node.left)
-    return leaves
+    return sum(node.is_leaf for node, _ in _tour(tree))
 
 
 def internal_count(tree: DualTree) -> int:
-    internal = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            internal += 1
-            stack += (node.right, node.left)
-    return internal
+    return sum(step == 0 and not node.is_leaf for node, step in _tour(tree))
 
 
 def bracket(tree: DualTree) -> str:
     """Nested-pair string with leaf side names, e.g. (b,(c,(d,e)))."""
-    parts = []
-    stack = []
-    node = tree.root
-    while True:
-        while not node.is_leaf:
-            parts.append("(")
-            stack.append(node)
-            node = node.left
-        parts.append(side_name(node.side))
-        while stack and stack[-1] is None:
-            stack.pop()
-            parts.append(")")
-        if not stack:
-            break
-        node = stack.pop().right
-        stack.append(None)
-        parts.append(",")
-    return "".join(parts)
+    return "".join(side_name(node.side) if node.is_leaf else "(,)"[step]
+                   for node, step in _tour(tree))
 
 
 def tree_to_dot(tree: DualTree) -> str:
     """GraphViz digraph of the dual tree; internal nodes t0, t1, ... in preorder.
 
-    A node's line is written when the walk reaches it, a branch's two edge
-    lines once both its subtrees are written.  The stack holds
-    (branch, name) while the left subtree is walked and (None, name, left
-    child's name) while the right one is.
+    A node's line is written at its first visit, a branch's two edge lines
+    at its last, when both its children have been named.
     """
     lines = ["digraph dualtree {", '  root [label="a", shape=none];']
-    counter = 0
-    stack = []
-    node = tree.root
-    while True:
-        while not node.is_leaf:
-            name = f"t{counter}"
-            counter += 1
+    names = {}
+    branches = 0
+    for node, step in _tour(tree):
+        if node.is_leaf:
+            names[node] = name = f"leaf_{node.side}"
+            lines.append(f'  {name} [label="{side_name(node.side)}", shape=none];')
+        elif step == 0:
+            names[node] = name = f"t{branches}"
+            branches += 1
             lines.append(f'  {name} [label="{name}", shape=circle];')
-            stack.append((node, name))
-            node = node.left
-        last = f"leaf_{node.side}"  # the name of the subtree just written
-        lines.append(f'  {last} [label="{side_name(node.side)}", shape=none];')
-        while stack and stack[-1][0] is None:
-            _, name, left = stack.pop()
-            lines.append(f"  {name} -> {left};")
-            lines.append(f"  {name} -> {last};")
-            last = name
-        if not stack:
-            break
-        node, name = stack.pop()
-        stack.append((None, name, last))
-        node = node.right
-    lines.append(f"  root -> {last};")
+        elif step == 2:
+            lines.append(f"  {names[node]} -> {names[node.left]};")
+            lines.append(f"  {names[node]} -> {names[node.right]};")
+    lines.append(f"  root -> {names[tree.root]};")
     lines.append("}")
     return "\n".join(lines)
 

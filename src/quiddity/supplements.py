@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import eta
 from .errors import InvalidSequenceError
 
 
 def check_basic(entries) -> tuple:
-    seq = tuple(entries)
+    seq = eta.as_sequence(entries, min_length=0)
     if len(seq) < 2 or seq[0] != 1:
         raise InvalidSequenceError(
             f"basic sequence must be (1, A1, ..., Ak) with k >= 1, got {seq}"
         )
     for x in seq[1:]:
-        if not isinstance(x, int) or x < 2:
+        if x < 2:
             raise InvalidSequenceError(f"basic entries after the 1 must be >= 2, got {x!r}")
     return seq
 
@@ -167,10 +168,7 @@ def is_embeddable(entries) -> Embeddability:
     or a supplement; replaying the contractions as expansions of that
     completion gives a witness starting with the query.
     """
-    seq = tuple(entries)
-    for x in seq:
-        if not isinstance(x, int) or x < 1:
-            raise InvalidSequenceError(f"entries must be positive integers, got {x!r}")
+    seq = eta.as_sequence(entries, min_length=0)
     if (1, 1) in zip(seq, seq[1:]):
         return Embeddability(False, obstruction=_ADJACENT_ONES)
     if (2, 1, 2) in zip(seq, seq[1:], seq[2:]):

@@ -139,6 +139,8 @@ CASES = [
     ["tree", "1,2,2,1,3", "--root", "2,3"],
     ["tree", "1,2,2,1,3", "--root", "0,4", "--format", "json"],
     ["tree", "1,2,2,1,3", "--root", "0,2"],
+    ["tree", "1,2,2,1,3", "--root", "6,2"],
+    ["tree", "1,2,2,1,3", "--root=-1,0"],
     ["tree", "1,2,2,1,3", "--root", "a,b"],
     ["tree", "1,2,2,1,3", "--root", "1,2,3"],
     ["tree", "1,2,2,1,3", "--root", ""],

@@ -164,6 +164,12 @@ class TestDualTree:
         with pytest.raises(InvalidSequenceError):
             polygons.to_dual_tree(t, root_side=(0, 2))
 
+    @pytest.mark.parametrize("side", [(6, 2), (-1, 0), (5, 1), (4, 5), (0, 1, 2), (0,)])
+    def test_root_side_vertices_lie_in_the_polygon(self, side):
+        t = polygons.from_quiddity((1, 2, 2, 1, 3))
+        with pytest.raises(InvalidSequenceError, match=r"is not a polygon side"):
+            polygons.to_dual_tree(t, root_side=side)
+
 
 def test_dot_outputs():
     t = polygons.from_quiddity((1, 2, 2, 1, 3))

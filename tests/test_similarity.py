@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity import eta, polygons, similarity
 from quiddity.errors import InvalidSequenceError
@@ -248,7 +250,26 @@ def test_one_message_outside_the_default_range(sweep, n):
         SWEEPS[sweep](n)
 
 
+@st.composite
+def quiddities(draw, max_n=9):
+    """A quiddity sequence of length 3..max_n grown from (1, 1, 1) by expansions."""
+    seq = (1, 1, 1)
+    for _ in range(draw(st.integers(0, max_n - 3))):
+        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
+    return seq
+
+
 class TestCompose:
+    # Shared machines stall for long stretches; a deadline would time the machine.
+    @settings(deadline=None, max_examples=300)
+    @given(quiddities(), quiddities(), quiddities())
+    def test_gluing_is_dihedrally_symmetric(self, a, b, c):
+        glued = compose(a, b, c)
+        assert eta.is_eta(glued)
+        assert canonical_form(compose(b, c, a)) == canonical_form(glued)
+        assert canonical_form(compose(c[::-1], b[::-1], a[::-1])) == canonical_form(glued)
+        assert canonical_form(compose(b[::-1], a[::-1])) == canonical_form(compose(a, b))
+
     def test_central_triangle_with_degenerate_arm(self):
         assert compose((1, 1, 1), (1, 1, 1), (0, 0)) == (2, 1, 3, 1, 2)
 

@@ -88,6 +88,11 @@ class TestSupplement:
             with pytest.raises(InvalidSequenceError):
                 supplements.supplement(bad)
 
+    @pytest.mark.parametrize("bad", [(1.0, 3), (True, 3), (1, 3.0), (1, 2, False)])
+    def test_rejects_floats_and_bools(self, bad):
+        with pytest.raises(InvalidSequenceError, match="positive integers"):
+            supplements.supplement(bad)
+
     def test_involution_and_validity_exhaustive(self):
         for a in all_basic(4, 7):
             supp = supplements.supplement(a)
@@ -244,3 +249,8 @@ class TestEmbeddability:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidSequenceError):
             supplements.is_embeddable((1, 0, 2))
+
+    @pytest.mark.parametrize("bad", [(True, 3), (1.0, 3), (2, 2.5)])
+    def test_rejects_floats_and_bools(self, bad):
+        with pytest.raises(InvalidSequenceError, match="positive integers"):
+            supplements.is_embeddable(bad)

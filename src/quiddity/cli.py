@@ -186,6 +186,9 @@ def _load_factors(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        for key, value in raw.items():
+            if type(value) not in (int, str):  # int() would truncate 2.7 and take true as 1
+                raise ValueError(f"factor {key!r} is {json.dumps(value)}, not an integer")
         return {int(key): int(value) for key, value in raw.items()}
     except (OSError, ValueError, AttributeError) as exc:
         raise InvalidSequenceError(f"cannot read factor file {path!r}: {exc}") from exc

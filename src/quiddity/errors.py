@@ -38,4 +38,4 @@ class NotAPositiveTilingError(ValueError):
 
 
 class InconsistentFactorsError(ValueError):
-    """Row and column propagation disagree for the given factor vectors."""
+    """A tiling seed whose determinant is not 1, or that lies outside the window."""

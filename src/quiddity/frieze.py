@@ -101,50 +101,30 @@ class MatrixFriezeWindow(namedtuple("MatrixFriezeWindow", "n cells")):
 
 
 def generate_matrix_frieze(entries) -> MatrixFriezeWindow:
-    """Matrix frieze of a quiddity sequence, cross-checked cell by cell.
+    """Rows 0..n of generate_matrix_frieze_rows seeded by -S and U^{a_j}.
 
-    Every cell with i >= 2 is computed both by the matrix diamond rule and
-    as the direct word U^{a_{i+j-1}}*S*...*S*U^{a_j}; a mismatch raises
-    (it would mean the two constructions disagree, which the theory rules
-    out for any integer row 1).
+    Let W(i, j) = U^{a_{i+j-1}}*S*...*S*U^{a_j}, with i powers of U, and
+    W(0, j) = S^-1 = -S.  Then W(i-1, j+1) = U^{a_{i+j-1}}*S*W(i-2, j+1),
+    so the diamond rule Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j)
+    gives Q(i, j) = U^{a_{i+j-1}}*S*W(i-1, j) = W(i, j) by induction on i.
+    Integer products are exact, so every cell is its word and is computed
+    once.  Entries must be positive ints.
     """
     seq = eta.as_sequence(entries)
-    n = len(seq)
-    # row 0 is -S, row 1 is U^{a_j}
-    rows = _diamond_rows((0, -1, 1, 0), [(1, 0, a, 1) for a in seq], n)
-    words = rows[1]  # words[j] = U^{a_{i+j-1}} S ... S U^{a_j}, i = current
-    for i in range(2, n + 1):
-        # U^a*S == (0, 1, -1, a)
-        words = [sl2.mul((0, 1, -1, seq[(i + j - 1) % n]), words[j]) for j in range(n)]
-        for j in range(n):
-            if rows[i][j] != words[j]:
-                raise NotQuiddityError(
-                    f"matrix diamond rule and word product disagree at ({i},{j})",
-                    row=i,
-                    col=j,
-                )
-    return MatrixFriezeWindow(n=n, cells=tuple(_as_mat2(row) for row in rows))
+    rows = generate_matrix_frieze_rows(-sl2.S, [sl2.u_pow(a) for a in seq], len(seq))
+    return MatrixFriezeWindow(n=len(seq), cells=tuple(rows))
 
 
 def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
     """General matrix frieze: constant row 0, arbitrary periodic row 1.
 
     Returns rows 0..depth as tuples of Mat2, each of the period of row1,
-    generated by the matrix diamond rule alone.
+    generated by the matrix diamond rule
+    Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j) on (a, b, c, d) tuples.
     """
     row1 = tuple(row1)
-    rows = _diamond_rows(row0.entries(), [m.entries() for m in row1], depth)
-    return [(row0,) * len(row1), row1] + [_as_mat2(row) for row in rows[2:]]
-
-
-def _diamond_rows(row0, row1, depth: int) -> list:
-    """Rows 0..depth of the matrix diamond rule on (a, b, c, d) tuples.
-
-    Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j), with row 0
-    constant.
-    """
     n = len(row1)
-    rows = [(row0,) * n, tuple(row1)]
+    rows = [(row0.entries(),) * n, tuple(m.entries() for m in row1)]
     for _ in range(2, depth + 1):
         above, twice_above = rows[-1], rows[-2]
         row = []
@@ -152,11 +132,7 @@ def _diamond_rows(row0, row1, depth: int) -> list:
             e, f, g, h = twice_above[(j + 1) % n]
             row.append(sl2.mul(sl2.mul(above[(j + 1) % n], (h, -f, -g, e)), above[j]))
         rows.append(tuple(row))
-    return rows
-
-
-def _as_mat2(row) -> tuple:
-    return tuple(sl2.Mat2(*m) for m in row)
+    return [(row0,) * n, row1] + [tuple(sl2.Mat2(*m) for m in row) for row in rows[2:]]
 
 
 def render_frieze(window: FriezeWindow) -> str:

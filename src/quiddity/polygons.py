@@ -172,7 +172,8 @@ def from_quiddity(entries) -> Triangulation:
     puts a neighbour that drops to 1 on the worklist of ears.  Neighbours
     are kept in prev/next arrays.  The sequence must be a valid quiddity
     sequence; its triangulation is unique, so the order in which ears are
-    cut does not change the diagonals.
+    cut does not change the diagonals, and every polygon of four or more
+    vertices left has an ear on the worklist.
     """
     seq = eta.as_sequence(entries)
     if not eta.is_eta(seq):
@@ -184,8 +185,6 @@ def from_quiddity(entries) -> Triangulation:
     ears = [i for i, c in enumerate(seq) if c == 1]
     diagonals = []
     for _ in range(n - 3):
-        if not ears:  # cannot happen for valid input
-            raise NotQuiddityError("ear clipping stalled on a valid sequence")
         i = ears.pop()
         u, v = prev[i], nxt[i]
         diagonals.append((u, v) if u < v else (v, u))

@@ -23,7 +23,12 @@ All windows here are finite inclusive rectangles [i0..i1] x [j0..j1].
 The code works on the row tuples of ``TilingWindow.values``.  Column
 factors are the row factors of the transposed window, so one helper reads
 both, and one three-term propagation on vectors fills the seed rows column
-by column and then the window row by row.
+by column and then the window row by row.  Propagation keeps every
+relation and minor: each row is a combination of rows 0 and 1, so it keeps
+their column relations; the row relations hold by construction; and a step
+x(t+1) = f*x(t) - x(t-1) keeps the determinant of two adjacent rows or
+columns, so every 2x2 minor equals the seed's.  In exact arithmetic nothing
+needs checking afterwards, so seeds and factors must be ints.
 """
 
 from __future__ import annotations
@@ -153,15 +158,19 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
 
     The seed occupies cells (0,0), (0,1), (1,0), (1,1), which must lie in
     the window.  Rows 0 and 1 are propagated horizontally with the column
-    factors, whole rows are then propagated vertically with the row
-    factors, and finally every cell is checked against both three-term
-    relations and every 2x2 minor against unimodularity; any disagreement
-    raises InconsistentFactorsError.  Nonpositive values are allowed and
-    simply reported by the window's ``is_positive``.  ``k`` must hold every
-    interior column j0+1..j1-1 and ``l`` every interior row i0+1..i1-1;
-    a missing index raises InvalidSequenceError.
+    factors, then whole rows vertically with the row factors; the module
+    docstring shows why the result needs no check.  ``k`` must hold every
+    interior column j0+1..j1-1 and ``l`` every interior row i0+1..i1-1,
+    and these factors and the seed entries must be ints (not bools); a
+    missing index or another type raises InvalidSequenceError naming it.
+    A seed of determinant other than 1 or outside the window raises
+    InconsistentFactorsError.  Nonpositive values are allowed and simply
+    reported by the window's ``is_positive``.
     """
     (s00, s01), (s10, s11) = seed
+    for (r, c), x in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (s00, s01, s10, s11)):
+        if type(x) is not int:
+            raise InvalidSequenceError(f"seed entry ({r},{c}) must be an int, got {x!r}")
     if s00 * s11 - s01 * s10 != 1:
         raise InconsistentFactorsError("seed 2x2 block must have determinant 1")
     if not (i0 <= 0 and 1 <= i1 and j0 <= 0 and 1 <= j1):
@@ -174,32 +183,14 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
                 f"{what}[{x}] missing for {x} = {', '.join(map(str, missing))}"
                 f" (the window needs {x} = {lo + 1}..{hi - 1})"
             )
+        for idx in range(lo + 1, hi):
+            if type(factors[idx]) is not int:
+                raise InvalidSequenceError(f"{what}[{idx}] must be an int, got {factors[idx]!r}")
 
     # columns j0..j1 of rows 0 and 1, then every row, as whole vectors
     row0, row1 = zip(*_propagate((s00, s10), (s01, s11), k, j0, j1))
     rows = _propagate(row0, row1, l, i0, i1)
-    ncols = j1 - j0 + 1
-    ks = [k[j] for j in range(j0 + 1, j1)]
-    for i, row in enumerate(rows, i0):
-        for c in range(1, ncols - 1):
-            if ks[c - 1] * row[c] != row[c - 1] + row[c + 1]:
-                j = j0 + c
-                raise InconsistentFactorsError(
-                    f"column relation fails at ({i},{j}) for k[{j}]={k[j]}"
-                )
-    for r in range(1, len(rows) - 1):
-        above, row, below = rows[r - 1], rows[r], rows[r + 1]
-        i = i0 + r
-        f = l[i]
-        for c in range(ncols):
-            if f * row[c] != above[c] + below[c]:
-                raise InconsistentFactorsError(
-                    f"row relation fails at ({i},{j0 + c}) for l[{i}]={f}"
-                )
-    window = window_from_values(i0, j0, rows)
-    if not window.unimodular_everywhere():
-        raise InconsistentFactorsError("generated window violates unimodularity")
-    return window
+    return window_from_values(i0, j0, rows)
 
 
 def _propagate(v0, v1, factors: dict, lo: int, hi: int) -> list:

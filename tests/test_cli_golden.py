@@ -37,6 +37,8 @@ FACTOR_FILES = {
     "list.json": "[2, 3]",
     "text.json": "not json",
     "word.json": '{"0": "x"}',
+    "float.json": '{"-1": 2, "0": 2.0, "1": 2}',
+    "bool.json": '{"-1": 2, "0": 3, "1": true}',
 }
 
 FAN_12 = "10," + ",".join(["1"] + ["2"] * 9 + ["1"])
@@ -154,6 +156,7 @@ CASES = [
     ["tiling", "--formula-paper", "--window=0:0,0:0"],
     ["tiling", "--seed", "2,3,3,5", *SEED_FILES, "--window=-2:2,-2:2"],
     ["tiling", "--seed", "2,3,3,5", *SEED_FILES, "--window=-2:2,-2:2", "--format", "json"],
+    ["tiling", "--seed=-1,0,0,-1", *SEED_FILES, "--window=-2:2,-2:2"],
     ["tiling", "--seed", "1,1,1,2", "--kfile", "ones.json", "--lfile", "ones.json",
      "--window=-3:4,-3:4"],
     ["tiling", "--seed", "1,1,1,2", "--kfile", "ones.json", "--lfile", "ones.json",
@@ -169,6 +172,10 @@ CASES = [
     ["tiling", "--seed", "2,3,3,5", "--kfile", "list.json", "--lfile", "l.json",
      "--window=-2:2,-2:2"],
     ["tiling", "--seed", "2,3,3,5", "--kfile", "word.json", "--lfile", "l.json",
+     "--window=-2:2,-2:2"],
+    ["tiling", "--seed", "2,3,3,5", "--kfile", "float.json", "--lfile", "l.json",
+     "--window=-2:2,-2:2"],
+    ["tiling", "--seed", "2,3,3,5", "--kfile", "k.json", "--lfile", "bool.json",
      "--window=-2:2,-2:2"],
     ["tiling", "--seed", "1,2,3", *SEED_FILES, "--window=-2:2,-2:2"],
     ["tiling", "--seed", "a,b,c,d", *SEED_FILES, "--window=-2:2,-2:2"],

@@ -190,6 +190,28 @@ class TestMatrixFrieze:
                     assert rows[i][j] == direct, (i, j)
 
 
+def word_cell(seq, i, j):
+    """Reference: U^{a_{i+j-1}}*S*...*S*U^{a_j} as one word product."""
+    n = len(seq)
+    exponents = [seq[t % n] for t in range(i + j - 1, j, -1)]
+    return sl2.Mat2(*sl2.word_product(exponents)) @ sl2.u_pow(seq[j])
+
+
+def assert_cells_are_words(seq):
+    mw = frieze.generate_matrix_frieze(seq)
+    n = len(seq)
+    assert mw.cells[0] == (-sl2.S,) * n
+    for i in range(1, n + 1):
+        for j in range(n):
+            assert mw.cell(i, j) == word_cell(seq, i, j), (seq, i, j)
+
+
+def test_matrix_frieze_cells_are_words(quiddities_by_n):
+    for n in range(3, 10):
+        for q in quiddities_by_n[n]:
+            assert_cells_are_words(q)
+
+
 def test_matrix_and_integer_friezes_consistent(quiddities_by_n):
     for n in range(3, 9):
         for q in quiddities_by_n[n]:
@@ -249,10 +271,10 @@ def same_sum_sequences(draw):
 
 
 @st.composite
-def quiddities(draw):
-    """A quiddity sequence grown from (1, 1, 1) by random expansions."""
+def quiddities(draw, expansions=20):
+    """A quiddity sequence grown from (1, 1, 1) by up to ``expansions`` expansions."""
     seq = (1, 1, 1)
-    for _ in range(draw(st.integers(0, 20))):
+    for _ in range(draw(st.integers(0, expansions))):
         seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
     return seq
 
@@ -261,6 +283,12 @@ def quiddities(draw):
 @given(st.one_of(positive_sequences, same_sum_sequences(), quiddities()))
 def test_generate_frieze_matches_dividing_rule(seq):
     assert outcome(frieze.generate_frieze, seq) == outcome(dividing_frieze, seq)
+
+
+@relaxed
+@given(quiddities(expansions=37))
+def test_matrix_frieze_cells_are_words_up_to_40(seq):
+    assert_cells_are_words(seq)
 
 
 @relaxed

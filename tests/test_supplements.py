@@ -103,14 +103,15 @@ class TestSupplement:
         for a in all_basic(5, 7):
             assert supplements.supplement(a) == supplements.supplement_by_runs(a)
 
-    def test_two_computations_agree_random(self):
-        rng = random.Random(12)
-        for _ in range(500):
-            a = (1,) + tuple(rng.randrange(2, 8) for _ in range(rng.randrange(1, 12)))
-            supp = supplements.supplement(a)
-            assert supp == supplements.supplement_by_runs(a)
-            assert eta.is_eta(a + supp)
-            assert sum(a + supp) == 3 * len(a + supp) - 6
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(st.integers(2, 40), min_size=1, max_size=30))
+    def test_two_computations_agree_random(self, rest):
+        a = (1, *rest)
+        supp = supplements.supplement(a)
+        assert supp == supplements.supplement_by_runs(a)
+        assert supplements.supplement(supp) == a
+        assert eta.is_eta(a + supp)
+        assert sum(a + supp) == 3 * len(a + supp) - 6
 
     def test_supplement_output_is_basic(self):
         for a in all_basic(5, 6):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from quiddity import tiling
 from quiddity.errors import (
     InconsistentFactorsError,
+    InvalidSequenceError,
     NotAPositiveTilingError,
 )
 
@@ -162,7 +163,7 @@ relaxed = settings(deadline=None)
 
 
 def error_text(call, *args):
-    with pytest.raises((NotAPositiveTilingError, InconsistentFactorsError)) as err:
+    with pytest.raises(NotAPositiveTilingError) as err:
         call(*args)
     return str(err.value)
 
@@ -186,19 +187,22 @@ def test_extract_factors_error_texts(values, message):
     assert error_text(tiling.extract_factors, window) == message
 
 
-def test_generate_tiling_column_relation_text():
-    # float factors lose exactness, which the relation check catches
-    k = {j: 0.1 for j in range(-3, 4)}
-    l = {i: 2 for i in range(-3, 4)}
-    assert (error_text(tiling.generate_tiling, ((2, 3), (3, 5)), k, l, -3, 3, -3, 3)
-            == "column relation fails at (-3,-2) for k[-2]=0.1")
-
-
-def test_generate_tiling_row_relation_text():
-    k = {j: 2 for j in range(-3, 4)}
-    l = {i: 0.7 for i in range(-3, 4)}
-    assert (error_text(tiling.generate_tiling, ((1, 0), (0, 1)), k, l, -2, 2, -1, 1)
-            == "row relation fails at (-1,0) for l[-1]=0.7")
+@pytest.mark.parametrize(
+    "seed, k, l, message",
+    [
+        (((2, 3), (3, 5)), {-1: 2, 0: 2.0, 1: 2}, {-1: 2, 0: 2, 1: 2},
+         "column factor k[0] must be an int, got 2.0"),
+        (((2, 3), (3, 5)), {-1: 2, 0: 2, 1: 2}, {-1: 2, 0: 2, 1: True},
+         "row factor l[1] must be an int, got True"),
+        (((1, 0), (0.5, 1)), {-1: 2, 0: 2, 1: 2}, {-1: 2, 0: 2, 1: 2},
+         "seed entry (1,0) must be an int, got 0.5"),
+    ],
+)
+def test_generate_tiling_refuses_values_that_are_not_ints(seed, k, l, message):
+    # propagation is exact only on ints, so even 2.0 and True are refused
+    with pytest.raises(InvalidSequenceError) as err:
+        tiling.generate_tiling(seed, k, l, -2, 2, -2, 2)
+    assert str(err.value) == message
 
 
 def cell_loop_factors(window):
@@ -284,21 +288,31 @@ def cell_loop_tiling(seed, k, l, i0, i1, j0, j1):
     return tuple(tuple(grid[i, j] for j in range(j0, j1 + 1)) for i in range(i0, i1 + 1))
 
 
-factor_values = st.one_of(st.integers(-1, 4), st.sampled_from((0.1, 0.3, 0.7, 1.5, 2.5)))
+int_factors = st.integers(-1, 4)
+# half the draws are all ints; the others may hold floats or bools, which are refused
+factor_lists = st.one_of(
+    st.lists(int_factors, min_size=9, max_size=9),
+    st.lists(st.one_of(int_factors, st.sampled_from((0.1, 0.7, 2.0, 2.5, True, False))),
+             min_size=9, max_size=9),
+)
 
 
 @relaxed
 @given(
     st.sampled_from((((2, 3), (3, 5)), ((1, 0), (0, 1)), ((1, 1), (0, 1)), ((3, 2), (1, 1)))),
-    st.lists(factor_values, min_size=9, max_size=9),
-    st.lists(factor_values, min_size=9, max_size=9),
+    factor_lists,
+    factor_lists,
     st.integers(-4, 0), st.integers(1, 4), st.integers(-4, 0), st.integers(1, 4),
 )
 def test_generate_tiling_matches_cell_loop(seed, ks, ls, i0, i1, j0, j1):
     k = dict(zip(range(-4, 5), ks))
     l = dict(zip(range(-4, 5), ls))
-    try:
-        got = tiling.generate_tiling(seed, k, l, i0, i1, j0, j1).values
-    except InconsistentFactorsError as exc:
-        got = str(exc)
-    assert got == cell_loop_tiling(seed, k, l, i0, i1, j0, j1)
+    used = [k[j] for j in range(j0 + 1, j1)] + [l[i] for i in range(i0 + 1, i1)]
+    if all(type(f) is int for f in used):
+        # the reference's relation and minor checks all pass on int factors
+        assert tiling.generate_tiling(seed, k, l, i0, i1, j0, j1).values == cell_loop_tiling(
+            seed, k, l, i0, i1, j0, j1
+        )
+    else:
+        with pytest.raises(InvalidSequenceError, match="must be an int"):
+            tiling.generate_tiling(seed, k, l, i0, i1, j0, j1)

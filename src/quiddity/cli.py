@@ -189,7 +189,11 @@ def _load_factors(path: str) -> dict:
         for key, value in raw.items():
             if type(value) not in (int, str):  # int() would truncate 2.7 and take true as 1
                 raise ValueError(f"factor {key!r} is {json.dumps(value)}, not an integer")
+            if str(int(key)) != key:  # int() also reads "0_0", "+0", " 0" and "\u0660" as 0
+                raise ValueError(f"factor index {key!r} is not written as a plain integer")
         return {int(key): int(value) for key, value in raw.items()}
+    except RecursionError:
+        raise InvalidSequenceError(f"cannot read factor file {path!r}: nested too deeply") from None
     except (OSError, ValueError, AttributeError) as exc:
         raise InvalidSequenceError(f"cannot read factor file {path!r}: {exc}") from exc
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import eta, sl2
-from .errors import NotQuiddityError
+from .errors import InvalidSequenceError, NotQuiddityError
 
 
 class FriezeWindow(namedtuple("FriezeWindow", "n rows")):
@@ -121,7 +121,10 @@ def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
     Returns rows 0..depth as tuples of Mat2, each of the period of row1,
     generated by the matrix diamond rule
     Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j) on (a, b, c, d) tuples.
+    A negative depth raises InvalidSequenceError.
     """
+    if depth < 0:
+        raise InvalidSequenceError(f"matrix frieze depth must be at least 0, got {depth}")
     row1 = tuple(row1)
     n = len(row1)
     rows = [(row0.entries(),) * n, tuple(m.entries() for m in row1)]
@@ -132,7 +135,8 @@ def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
             e, f, g, h = twice_above[(j + 1) % n]
             row.append(sl2.mul(sl2.mul(above[(j + 1) % n], (h, -f, -g, e)), above[j]))
         rows.append(tuple(row))
-    return [(row0,) * n, row1] + [tuple(sl2.Mat2(*m) for m in row) for row in rows[2:]]
+    rows = [(row0,) * n, row1] + [tuple(sl2.Mat2(*m) for m in row) for row in rows[2:]]
+    return rows[:depth + 1]
 
 
 def render_frieze(window: FriezeWindow) -> str:

@@ -22,8 +22,7 @@ of determinant-1 matrices has determinant 1.  One kernel,
 :func:`word_product`, multiplies out words U^x0*S * U^x1*S * ...; it
 serves ``eval_word``, ``eval_tokens``, ``TSNormalForm.to_matrix``,
 ``eta.is_eta`` and ``eta.word_matrix``, and with :func:`mul` the matrix
-frieze in :mod:`quiddity.frieze`.  The Euclidean descent behind
-``ts_normal_form`` also runs on tuples.
+frieze in :mod:`quiddity.frieze`.  ``ts_normal_form`` descends on tuples.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from collections import namedtuple
 
 from .errors import InvalidSequenceError, NotUnimodularError
 
-# ts_normal_form expands its S/U word into S/T letters (2*|q| for U^q)
-# before collapsing them; larger words are refused instead of expanded.
+# The most letters ts_normal_form writes out (U^q has 2*|q|, T^2 counts as
+# one letter); a longer normal form is refused before it is built.
 NORMAL_FORM_LETTER_CAP = 100_000
 
 
@@ -249,110 +248,49 @@ class TSNormalForm(namedtuple("TSNormalForm", "sign b0 exponents b1")):
         return body if self.sign == 1 else "-" + body
 
 
-def _round_half_even(c: int, a: int) -> int:
-    """c/a rounded to the nearest integer, ties to even: round(Fraction(c, a))."""
-    q, r = divmod(c, a)  # c/a == q + r/a with 0 <= r/a < 1
-    twice, whole = abs(2 * r), abs(a)
-    if twice > whole or (twice == whole and q % 2):
-        q += 1
-    return q
-
-
-def _su_factorization(m: Mat2):
-    """Peel m from the left into S and U^q factors by Euclidean descent.
-
-    Returns (sign, tokens) with tokens a list of 'S' and ('U', q), such
-    that sign * product(tokens) == m.  Descends on the lower-left entry:
-    U^-q reduces c modulo a, S^-1 swaps the rows.
-    """
-    sign = 1
-    tokens = []
-    a, b, c, d = m.entries()
-    while c != 0:
-        if a != 0:
-            q = _round_half_even(c, a)
-            if q:
-                tokens.append(("U", q))
-                c, d = c - q * a, d - q * b  # U^-q * cur
-            if c == 0:
-                break
-        tokens.append("S")
-        a, b, c, d = -c, -d, a, b  # S^-1 * cur
-    # now [[e, b], [0, e]] with e = +-1, i.e. +-V^(e*b)
-    if a == -1:
-        sign = -sign
-        shift = -b
-    else:
-        shift = b
-    if shift:
-        # V^t == -S * U^-t * S
-        sign = -sign
-        tokens += ["S", ("U", -shift), "S"]
-    return sign, tokens
-
-
-def _reduce_st(tokens):
-    """Collapse an S/T letter string modulo S^2 = -I and T^3 = I."""
-    sign = 1
-    stack = []
-    for tok in tokens:
-        stack.append(tok)
-        while len(stack) >= 2:
-            x, y = stack[-2], stack[-1]
-            if x == "S" and y == "S":
-                stack.pop()
-                stack.pop()
-                sign = -sign
-            elif isinstance(x, tuple) and isinstance(y, tuple):
-                e = (x[1] + y[1]) % 3
-                stack.pop()
-                stack.pop()
-                if e:
-                    stack.append(("T", e))
-            else:
-                break
-    return sign, stack
+# T^-b0 and S^-b1: T^-1 == T^2 and S^-1 == -S
+_T_INV_POWERS = (IDENTITY, (-1, -1, 1, 0), (0, 1, -1, -1))
+_S_INV_POWERS = (IDENTITY, (0, -1, 1, 0))
 
 
 def ts_normal_form(m: Mat2) -> TSNormalForm:
     """Rewrite m as sign * T^b0 * S*T^e1 * ... * S*T^en * S^b1.
 
-    Pipeline: Euclidean descent gives an S/U word, U = S*T^2 and
-    U^-1 = -T*S turn it into S/T letters, and the group relations
-    collapse the letters into the alternating form.  The result always
-    re-evaluates to m.  A word of more than NORMAL_FORM_LETTER_CAP
-    letters raises InvalidSequenceError before any letter is written.
+    With L = [[1, 1], [0, 1]], S*T == -L and S*T^2 == U, so the form is
+    sign * T^b0 * (+-P) * S^b1 with P a product of L and U.  Such products
+    are exactly the determinant-1 matrices without negative entries, and
+    Stern-Brocot descent reads P off: it starts with L^q when its first
+    row dominates the second, else with U^q.  PSL2(Z) is the free product
+    of <S> and <T>, of orders 2 and 3, so the form is unique and exactly
+    one b0 in {0, 1, 2} and b1 in {0, 1} leave such a +-P.  A form of more
+    than NORMAL_FORM_LETTER_CAP letters raises InvalidSequenceError before
+    any exponent is written.
     """
-    sign, su = _su_factorization(m)
-    size = sum(1 if tok == "S" else 2 * abs(tok[1]) for tok in su)
+    for k in range(6):
+        b0, b1 = divmod(k, 2)
+        p = mul(mul(_T_INV_POWERS[b0], m.entries()), _S_INV_POWERS[b1])
+        if min(p) >= 0 or max(p) <= 0:
+            break
+    sign = 1 if min(p) >= 0 else -1
+    a, b, c, d = (sign * x for x in p)
+    runs = []  # (exponent, run length), leftmost first
+    while b or c:  # P != I
+        if a >= c and b >= d:  # P = L^q * rest; d >= 1 since a*d - b*c == 1
+            q = b // d if c == 0 else min(a // c, b // d)
+            a, b = a - q * c, b - q * d
+            runs.append((1, q))
+            if q % 2:
+                sign = -sign  # each S*T is -L
+        else:  # P = U^q * rest; a >= 1 likewise
+            q = c // a if b == 0 else min(c // a, d // b)
+            c, d = c - q * a, d - q * b
+            runs.append((2, q))
+    size = (b0 > 0) + 2 * sum(q for _, q in runs) + b1
     if size > NORMAL_FORM_LETTER_CAP:
         raise InvalidSequenceError(
             f"normal form needs {size} S/T letters, over the limit of {NORMAL_FORM_LETTER_CAP}"
         )
-    letters = []
-    for tok in su:
-        if tok == "S":
-            letters.append("S")
-            continue
-        _, q = tok
-        if q > 0:
-            letters += ["S", ("T", 2)] * q
-        else:
-            for _ in range(-q):
-                sign = -sign
-                letters += [("T", 1), "S"]
-    flip, stack = _reduce_st(letters)
-    sign *= flip
-
-    b0 = 0
-    if stack and isinstance(stack[0], tuple):
-        b0 = stack[0][1]
-        stack = stack[1:]
-    b1 = 0
-    if stack and stack[-1] == "S":
-        b1 = 1
-        stack = stack[:-1]
-    exponents = tuple(tok[1] for tok in stack if isinstance(tok, tuple))
+    exponents = tuple(e for e, q in runs for _ in range(q))
     return TSNormalForm(sign=sign, b0=b0, exponents=exponents, b1=b1)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiddity import eta, frieze, sl2
-from quiddity.errors import NotQuiddityError
+from quiddity.errors import InvalidSequenceError, NotQuiddityError
 
 # Shared machines stall for long stretches; a deadline would time the machine.
 relaxed = settings(deadline=None)
@@ -188,6 +188,18 @@ class TestMatrixFrieze:
                     for t in range(i + j - 2, j - 1, -1):
                         direct = direct @ x @ row1[t % n]
                     assert rows[i][j] == direct, (i, j)
+
+
+def test_matrix_frieze_rows_stop_at_the_depth():
+    row1 = [sl2.u_pow(a) for a in (1, 2, 2, 1, 3)]
+    for depth in range(5):
+        rows = frieze.generate_matrix_frieze_rows(-sl2.S, row1, depth)
+        assert len(rows) == depth + 1
+        assert rows == frieze.generate_matrix_frieze_rows(-sl2.S, row1, 4)[:depth + 1]
+    assert frieze.generate_matrix_frieze_rows(-sl2.S, row1, 0) == [(-sl2.S,) * 5]
+    for depth in (-1, -4):
+        with pytest.raises(InvalidSequenceError, match=f"got {depth}$"):
+            frieze.generate_matrix_frieze_rows(-sl2.S, row1, depth)
 
 
 def word_cell(seq, i, j):

@@ -1,7 +1,6 @@
 """Property tests of the integer SL2 kernel against the validated Mat2 path."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -112,24 +111,16 @@ def test_element_order_equals_power_search(m):
     assert sl2.element_order(m) == order
 
 
+# long L and U runs; the form of U^x*S has at most 2|x| + 1 letters, so
+# four such factors stay under NORMAL_FORM_LETTER_CAP
 @relaxed
-@given(matrices())
+@given(st.one_of(matrices(), st.lists(st.integers(-10**4, 10**4), max_size=4).map(fold)))
 def test_normal_form_round_trip(m):
+    # by uniqueness of the alternating form, this shape and the round trip determine it
     form = sl2.ts_normal_form(m)
     assert form.to_matrix() == m
+    assert form.sign in (1, -1) and form.b0 in (0, 1, 2) and form.b1 in (0, 1)
     assert set(form.exponents) <= {1, 2}
-
-
-@relaxed
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
-def test_round_half_even_equals_fraction_round(c, a):
-    assert sl2._round_half_even(c, a) == round(Fraction(c, a))
-
-
-def test_round_half_even_ties():
-    for c in range(-9, 10):
-        for a in (-2, 2, -6, 6):
-            assert sl2._round_half_even(c, a) == round(Fraction(c, a))
 
 
 @settings(max_examples=30, deadline=None)

@@ -187,9 +187,9 @@ def test_cancellation_identity_sweep():
 
 
 def _letters(m):
-    """S/T letters ts_normal_form expands m into: 1 per S, 2*|q| per U^q."""
-    _, tokens = sl2._su_factorization(m)
-    return sum(1 if tok == "S" else 2 * abs(tok[1]) for tok in tokens)
+    """Letters of the normal form of m: one per S and per power of T."""
+    form = sl2.ts_normal_form(m)
+    return (form.b0 > 0) + 2 * len(form.exponents) + form.b1
 
 
 def test_normal_form_letter_limit():
@@ -198,9 +198,12 @@ def test_normal_form_letter_limit():
     assert _letters(at_limit) == limit
     assert sl2.ts_normal_form(at_limit).to_matrix() == at_limit
     over = sl2.eval_tokens(f"U^-{limit // 2}*S*U")
-    assert _letters(over) > limit
-    with pytest.raises(InvalidSequenceError, match=f"over the limit of {limit}$"):
+    with pytest.raises(InvalidSequenceError, match=f"needs {limit + 1} S/T letters, "
+                                                   f"over the limit of {limit}$"):
         sl2.ts_normal_form(over)
+    under = sl2.eval_tokens(f"U^-{limit // 2 - 1}*S*U")
+    assert _letters(under) == limit - 1
+    assert sl2.ts_normal_form(under).to_matrix() == under
     with pytest.raises(InvalidSequenceError, match="needs 2000000000 S/T letters"):
         sl2.ts_normal_form(sl2.eval_tokens("U^1000000000"))
 

@@ -180,12 +180,22 @@ def _parse_window(text: str):
     return i0, i1, j0, j1
 
 
+def _refuse_repeated_keys(pairs) -> dict:
+    """A JSON object as a dict; json alone would keep the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice")
+        obj[key] = value
+    return obj
+
+
 def _load_factors(path: str) -> dict:
     import json
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
         for key, value in raw.items():
             if type(value) not in (int, str):  # int() would truncate 2.7 and take true as 1
                 raise ValueError(f"factor {key!r} is {json.dumps(value)}, not an integer")

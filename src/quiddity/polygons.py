@@ -22,8 +22,9 @@ it to its children at its last, and ``leaf_count`` and ``internal_count``
 count sides and triangles.
 
 Exhaustive enumeration of all triangulations (there are C_{n-2} of them,
-Catalan) is deterministic: recursion on the apex of the triangle resting
-on the base edge, apex increasing, left sub-polygon before right.  Every
+Catalan) is one deterministic walk, the ``iter_quiddities`` odometer:
+recursion on the apex of the triangle resting on the base edge, apex
+increasing, left sub-polygon before right, run on an explicit stack.  Every
 exhaustive sweep of the package, here and in :mod:`quiddity.similarity`,
 runs only for 3 <= n <= SWEEP_CAP unless its ``cap=`` argument (the CLI's
 ``--cap``) raises the cap; ``check_sweep`` is the one range check.
@@ -209,32 +210,15 @@ def check_sweep(n: int, cap: int = None) -> None:
 
 
 def enumerate_triangulations(n: int, cap: int = None):
-    """Yield every triangulation of the n-gon exactly once, deterministically."""
-    check_sweep(n, cap)
-
-    def rec(lo, hi):
-        if hi - lo < 2:
-            yield ()
-            return
-        for apex in range(lo + 1, hi):
-            extra = ()
-            if apex - lo >= 2:
-                extra += ((lo, apex),)
-            if hi - apex >= 2:
-                extra += ((apex, hi),)
-            for left in rec(lo, apex):
-                for right in rec(apex, hi):
-                    yield left + right + extra
-
-    for diags in rec(0, n - 1):
-        yield Triangulation(n=n, diagonals=tuple(sorted(diags)))
+    """Yield every triangulation of the n-gon exactly once, in the order of iter_quiddities."""
+    return map(from_quiddity, iter_quiddities(n, cap))
 
 
 def iter_quiddities(n: int, cap: int = None):
     """Yield the quiddity sequence of every triangulation of the n-gon.
 
-    Same order as :func:`enumerate_triangulations`, without its recursion.
-    A triangulation is the preorder list of its triangles, one frame
+    The apex recursion of the module docstring, without recursion.  A
+    triangulation is the preorder list of its triangles, one frame
     ``(lo, hi, apex, rest)`` per arc of two or more sides, and the order
     is lexicographic in the apexes.  Each step is an odometer move: pop
     the frames whose apex is at ``hi - 1``, move the last apex one step,

@@ -42,6 +42,7 @@ FACTOR_FILES = {
     "dup.json": '{"-1": 2, "0": 2, "0_0": 3, "1": 2}',  # int() reads "0_0" as 0
     "indic.json": '{"-1": 2, "\u0660": 3, "1": 2}',  # an Arabic-Indic zero
     "deep.json": "[" * 100_000 + "]" * 100_000,  # deeper than json's recursion limit
+    "repeat.json": '{"-1": 2, "0": 2, "0": 3, "1": 2}',  # json keeps the last "0"
 }
 
 FAN_12 = "10," + ",".join(["1"] + ["2"] * 9 + ["1"])
@@ -185,6 +186,8 @@ CASES = [
     ["tiling", "--seed", "2,3,3,5", "--kfile", "k.json", "--lfile", "indic.json",
      "--window=-2:2,-2:2"],
     ["tiling", "--seed", "2,3,3,5", "--kfile", "deep.json", "--lfile", "l.json",
+     "--window=-2:2,-2:2"],
+    ["tiling", "--seed", "2,3,3,5", "--kfile", "repeat.json", "--lfile", "l.json",
      "--window=-2:2,-2:2"],
     ["tiling", "--seed", "1,2,3", *SEED_FILES, "--window=-2:2,-2:2"],
     ["tiling", "--seed", "a,b,c,d", *SEED_FILES, "--window=-2:2,-2:2"],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quiddity import eta, polygons
 from quiddity.errors import InvalidSequenceError, NotQuiddityError
 from quiddity.similarity import canonical_form, catalan
+from test_sweeps import recursive_quiddities
 
 
 def test_from_quiddity_triangle():
@@ -83,12 +84,45 @@ def test_enumeration_cap():
         list(polygons.iter_quiddities(20))
 
 
-def test_iter_quiddities_matches_triangulations():
-    # element for element: the odometer keeps the order of the recursion
+def recursive_triangulations(n):
+    """The order oracle: diagonals by recursion on the apex of the base-edge triangle."""
+
+    def rec(lo, hi):
+        if hi - lo < 2:
+            yield ()
+            return
+        for apex in range(lo + 1, hi):
+            extra = ()
+            if apex - lo >= 2:
+                extra += ((lo, apex),)
+            if hi - apex >= 2:
+                extra += ((apex, hi),)
+            for left in rec(lo, apex):
+                for right in rec(apex, hi):
+                    yield left + right + extra
+
+    for diags in rec(0, n - 1):
+        yield polygons.Triangulation(n=n, diagonals=tuple(sorted(diags)))
+
+
+def test_enumerate_triangulations_matches_the_recursion():
+    # element for element: the walk keeps the order of the recursion
     for n in range(3, 12):
-        direct = list(polygons.iter_quiddities(n))
-        mapped = [polygons.to_quiddity(t) for t in polygons.enumerate_triangulations(n)]
-        assert direct == mapped, n
+        assert list(polygons.enumerate_triangulations(n)) == list(recursive_triangulations(n)), n
+
+
+def test_iter_quiddities_matches_the_recursion():
+    for n in range(3, 13):
+        assert list(polygons.iter_quiddities(n)) == list(recursive_quiddities(n)), n
+
+
+def test_the_walk_yields_at_3000():
+    # the odometer keeps no generator per arc, so a raised cap is not a
+    # recursion limit; its first triangulation is the fan from vertex n - 1
+    fan = (1,) + (2,) * 2997 + (1, 2998)
+    assert next(polygons.iter_quiddities(3000, cap=3000)) == fan
+    first = next(polygons.enumerate_triangulations(3000, cap=3000))
+    assert first.diagonals == tuple((k, 2999) for k in range(1, 2998))
 
 
 class TestValidation:

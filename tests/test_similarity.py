@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quiddity import eta, polygons, similarity
+from quiddity import eta, polygons, similarity, supplements
 from quiddity.errors import InvalidSequenceError
 from quiddity.similarity import (
     ASYMMETRIC,
@@ -22,6 +22,7 @@ from quiddity.similarity import (
     enumerate_types,
     perfect_tripartitions,
 )
+from test_sweeps import dihedral_images, fixing_images
 
 PATTERN_I = (4, 2, 1, 3, 2, 2, 1)
 PATTERN_I_PRIME = (1, 2, 2, 3, 1, 2, 4)
@@ -62,7 +63,7 @@ class TestCanonicalize:
         for n in range(3, 9):
             for q in quiddities_by_n[n]:
                 canon = canonical_form(q)
-                for image in similarity.dihedral_images(q):
+                for image in dihedral_images(q):
                     assert canonical_form(image) == canon
 
     def test_orbit_size_divides_group_order(self, quiddities_by_n):
@@ -109,6 +110,34 @@ class TestClassify:
             for q in quiddities_by_n[n]:
                 p = classify(q).period
                 assert n % p == 0 and n // p in (1, 2, 3)
+
+
+def least_period(seq):
+    return next(p for p in range(1, len(seq) + 1) if seq[p:] + seq[:p] == seq)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=8), st.integers(1, 6))
+def test_orbit_and_period_of_periodic_sequences(block, repeats):
+    seq = tuple(block) * repeats
+    assume(len(seq) >= 3)
+    images = list(dihedral_images(seq))
+    assert canonicalize(seq) == (min(images), len(set(images)))
+    assert classify(seq).period == least_period(seq)
+
+
+@pytest.mark.parametrize("seq", [
+    supplements.fan(2998),
+    # the fan of a 1500-gon with an ear cut into every gap: 1500 ones
+    tuple(x for c in supplements.fan(1498) for x in (c + 2, 1)),
+], ids=["fan", "half-ones"])
+def test_orbit_and_period_at_3000(seq):
+    # orbit size by orbit-stabilizer, which keeps O(n) images in memory
+    assert len(seq) == 3000 and eta.is_eta(seq)
+    canon = min(dihedral_images(seq))
+    assert canonical_form(seq) == canon
+    assert canonicalize(seq) == (canon, 6000 // fixing_images(seq))
+    assert classify(seq).period == least_period(seq)
 
 
 class TestCounts:
@@ -339,7 +368,7 @@ def test_symmetric_types_of_length_seven():
     # exactly two of the four types qualify (with halved orbits)
     symmetric_types = 0
     for rep in enumerate_types(7):
-        images = list(similarity.dihedral_images(rep))
+        images = list(dihedral_images(rep))
         has_symmetric_member = any(classify(img).category == SYMMETRIC for img in images)
         has_palindrome = any(img == img[::-1] for img in images)
         assert has_symmetric_member == has_palindrome

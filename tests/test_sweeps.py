@@ -3,11 +3,13 @@
 Formula K_n (on the cached ``_tsa``) and the brute force against a
 Burnside closed form, the orbit-counting brute K_n against the set of
 canonical forms and against the formula, its stabilizer orders against a
-count of the fixing dihedral images, ``canonical_form`` (min-start
-slices) against the minimum over all 2n dihedral images, and the memory
-of the brute force (on the ``iter_quiddities`` odometer) against a
-recursive sweep.  The order of ``iter_quiddities`` is checked in
-test_polygons.py.
+count of the fixing dihedral images, ``canonical_form`` (one pass over
+the rotations at a least entry) against the minimum over all 2n dihedral
+images, and the memory of the brute force (on the ``iter_quiddities``
+odometer) against a recursive sweep.  Two oracles here serve other test
+modules too: ``dihedral_images`` lists all 2n images, and
+``recursive_quiddities`` is the apex recursion the odometer runs without
+recursion; test_polygons.py checks the odometer's order against it.
 """
 
 import tracemalloc
@@ -16,10 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiddity import eta, polygons, similarity, supplements
-from quiddity.similarity import canonical_form, catalan, dihedral_images
+from quiddity.similarity import canonical_form, catalan
 
 # Shared machines stall for long stretches; a deadline would time the machine.
 relaxed = settings(deadline=None)
+
+
+def dihedral_images(entries):
+    """All 2n images of the sequence under rotations and reversal."""
+    seq = tuple(entries)
+    n = len(seq)
+    doubled = seq + seq
+    for t in range(n):
+        yield doubled[t:t + n]
+    rev = seq[::-1]
+    doubled = rev + rev
+    for t in range(n):
+        yield doubled[t:t + n]
 
 
 def burnside_k(n: int) -> int:

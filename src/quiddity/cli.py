@@ -70,8 +70,7 @@ def cmd_verify(args):
               "period": None, "category": None, "canon": None, "orbit_size": None}
     lines = [f"is_quiddity: {_flag(valid)}", f"n: {len(seq)}"]
     if valid:
-        cls = similarity.classify(seq)
-        orbit = similarity.canonicalize(seq)
+        cls, orbit = similarity._describe(seq)  # one dihedral pass for both
         report.update(period=cls.period, category=cls.category,
                       canon=list(orbit.canon), orbit_size=orbit.orbit_size)
         lines += [

@@ -9,7 +9,9 @@ the matrix word
 
 multiplies out to -I.  The family is closed under rotation and reversal,
 and is generated from (1, 1, 1) by the expansion move that splits a vertex:
-insert a new 1 into a cyclic gap and bump both neighbours.
+insert a new 1 into a cyclic gap and bump both neighbours.  Its inverse,
+cutting an ear, is the one linear ear clipper ``_clip_ears``: it decides
+membership without matrices and yields the triangulation's diagonals.
 
 Sequences are plain tuples of ints everywhere; every public function
 validates shape (length >= 3, entries >= 1) and raises
@@ -48,26 +50,49 @@ def is_eta(entries) -> bool:
 
 
 def is_eta_by_contraction(entries) -> bool:
-    """Matrix-free membership test by repeated ear removal.
+    """Matrix-free membership test by ear removal: whether :func:`_clip_ears` succeeds.
 
     Independent of :func:`is_eta`; used as a cross-oracle in the test
-    suite.  A valid sequence of length n reduces to (1, 1, 1) by n - 3
-    contractions of an entry 1 whose cyclic neighbours are both >= 2.
+    suite.  O(n).
     """
-    seq = list(as_sequence(entries))
-    if sum(seq) != 3 * len(seq) - 6:
-        return False
-    while len(seq) > 3:
-        n = len(seq)
-        for i in range(n):
-            if seq[i] == 1 and seq[i - 1] >= 2 and seq[(i + 1) % n] >= 2:
-                seq[i - 1] -= 1
-                seq[(i + 1) % n] -= 1
-                del seq[i]
-                break
-        else:
-            return False
-    return seq == [1, 1, 1]
+    return _clip_ears(as_sequence(entries)) is not None
+
+
+def _clip_ears(seq: tuple):
+    """The diagonals (u, v), u < v, cut off down to (1, 1, 1), or None if not a quiddity.
+
+    The package's one ear clipper, linear: cutting the ear at an entry 1
+    joins its neighbours (prev/next arrays), decrements them and puts one
+    that drops to 1 on the worklist.  Cutting an ear keeps a sequence
+    valid, and a valid one of 4 or more entries has an ear and no two
+    adjacent 1s (a 1 never decreases), so a sum other than 3n - 6, an empty
+    worklist or an ear next to a 1 refuses.  The three entries left sum to
+    3: (1, 1, 1).  The triangulation is unique, so the cut order is free.
+    """
+    n = len(seq)
+    if sum(seq) != 3 * n - 6:
+        return None
+    counts = list(seq)
+    prev = [n - 1] + list(range(n - 1))
+    nxt = list(range(1, n)) + [0]
+    ears = [i for i, c in enumerate(seq) if c == 1]
+    diagonals = []
+    for _ in range(n - 3):
+        if not ears:
+            return None
+        i = ears.pop()
+        u, v = prev[i], nxt[i]
+        if counts[u] < 2 or counts[v] < 2:
+            return None
+        diagonals.append((u, v) if u < v else (v, u))
+        nxt[u], prev[v] = v, u
+        counts[u] -= 1
+        counts[v] -= 1
+        if counts[u] == 1:
+            ears.append(u)
+        if counts[v] == 1:
+            ears.append(v)
+    return diagonals
 
 
 def rotate(entries, k: int = 1) -> tuple:

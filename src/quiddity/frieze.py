@@ -49,10 +49,23 @@ def generate_frieze(entries) -> FriezeWindow:
     is the only failure: it raises NotQuiddityError at the first such cell
     (i, j) in row order.  Works for any positive sequence; valid quiddity
     input always completes.
+
+    Rows close by the frieze's glide reflection (Conway and Coxeter): row
+    m rotated left by n - m is the glide image for row n - m.  The
+    continuant recurrence also holds read from its other end, so for any
+    positive input the images obey the row recurrence with the same
+    coefficients, forwards and backwards.  So if rows i - 1 and i, for the
+    least i with 2i >= n + 3, equal their images, the later rows are
+    copied; their zero tests would test rotations of rows 2..n-i+1, already
+    tested.  Otherwise no later pair matches and the recurrence runs on.
     """
     seq = eta.as_sequence(entries)
     n = len(seq)
     rows = [(0,) * n, (1,) * n, seq]
+
+    def glide(k):  # the image of row n - k, a candidate for row k
+        return rows[n - k][k:] + rows[n - k][:k]
+
     for i in range(3, n + 1):
         above, twice_above = rows[i - 1], rows[i - 2]
         if 0 in twice_above:
@@ -60,6 +73,9 @@ def generate_frieze(entries) -> FriezeWindow:
             raise NotQuiddityError(f"zero divisor at cell ({i},{j})", row=i, col=j)
         rotated = seq[i - 2:] + seq[:i - 2]
         rows.append(tuple([a * x - y for a, x, y in zip(rotated, above, twice_above)]))
+        if i == (n + 4) // 2 and rows[i] == glide(i) and above == glide(i - 1):
+            rows += [glide(k) for k in range(i + 1, n + 1)]
+            break
     return FriezeWindow(n=n, rows=tuple(rows))
 
 
@@ -103,12 +119,13 @@ class MatrixFriezeWindow(namedtuple("MatrixFriezeWindow", "n cells")):
 def generate_matrix_frieze(entries) -> MatrixFriezeWindow:
     """Rows 0..n of generate_matrix_frieze_rows seeded by -S and U^{a_j}.
 
-    Let W(i, j) = U^{a_{i+j-1}}*S*...*S*U^{a_j}, with i powers of U, and
-    W(0, j) = S^-1 = -S.  Then W(i-1, j+1) = U^{a_{i+j-1}}*S*W(i-2, j+1),
-    so the diamond rule Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j)
-    gives Q(i, j) = U^{a_{i+j-1}}*S*W(i-1, j) = W(i, j) by induction on i.
-    Integer products are exact, so every cell is its word and is computed
-    once.  Entries must be positive ints.
+    With constant row 0 = X and row 1 = (M_j), the diamond rule
+    Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j) collapses to
+    Q(i, j) = M_{i+j-1} * X^-1 * Q(i-1, j) by induction on i: true at
+    i = 1, and at (i-1, j+1) it says Q(i-1, j+1) * Q(i-2, j+1)^-1 =
+    M_{i+j-1} * X^-1.  Here X^-1 = S, so every cell is its word
+    Q(i, j) = U^{a_{i+j-1}}*S*...*S*U^{a_j}, with i powers of U, exact and
+    computed once.  Entries must be positive ints.
     """
     seq = eta.as_sequence(entries)
     rows = generate_matrix_frieze_rows(-sl2.S, [sl2.u_pow(a) for a in seq], len(seq))
@@ -118,24 +135,22 @@ def generate_matrix_frieze(entries) -> MatrixFriezeWindow:
 def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
     """General matrix frieze: constant row 0, arbitrary periodic row 1.
 
-    Returns rows 0..depth as tuples of Mat2, each of the period of row1,
-    generated by the matrix diamond rule
-    Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j) on (a, b, c, d) tuples.
-    A negative depth raises InvalidSequenceError.
+    Returns rows 0..depth as tuples of Mat2, each of the period of row1, of
+    the matrix diamond rule in the collapsed form of generate_matrix_frieze:
+    the n factors M_k * X^-1 first, then one product per cell on
+    (a, b, c, d) tuples.  A negative depth raises InvalidSequenceError.
     """
     if depth < 0:
         raise InvalidSequenceError(f"matrix frieze depth must be at least 0, got {depth}")
     row1 = tuple(row1)
     n = len(row1)
-    rows = [(row0.entries(),) * n, tuple(m.entries() for m in row1)]
-    for _ in range(2, depth + 1):
-        above, twice_above = rows[-1], rows[-2]
-        row = []
-        for j in range(n):
-            e, f, g, h = twice_above[(j + 1) % n]
-            row.append(sl2.mul(sl2.mul(above[(j + 1) % n], (h, -f, -g, e)), above[j]))
-        rows.append(tuple(row))
-    rows = [(row0,) * n, row1] + [tuple(sl2.Mat2(*m) for m in row) for row in rows[2:]]
+    e, f, g, h = row0.entries()
+    factors = [sl2.mul(m.entries(), (h, -f, -g, e)) for m in row1]
+    rows = [(row0,) * n, row1]
+    row = [m.entries() for m in row1]
+    for i in range(2, depth + 1):
+        row = [sl2.mul(factors[(i + j - 1) % n], cell) for j, cell in enumerate(row)]
+        rows.append(tuple(sl2.Mat2(*m) for m in row))
     return rows[:depth + 1]
 
 

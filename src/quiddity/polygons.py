@@ -29,10 +29,12 @@ exhaustive sweep of the package, here and in :mod:`quiddity.similarity`,
 runs only for 3 <= n <= SWEEP_CAP unless its ``cap=`` argument (the CLI's
 ``--cap``) raises the cap; ``check_sweep`` is the one range check.
 
-A given triangulation is walked the same way with one apex lookup shared
-by ``triangles`` and ``to_dual_tree``: the triangle resting on an edge
-(lo, hi) has as apex the largest neighbour of lo below hi.  The other
-direction, ``from_quiddity``, is a linear ear clipper, and
+A given triangulation is walked the same way by ``triangles``, with an
+apex lookup: the triangle resting on an edge (lo, hi) has as apex the
+largest neighbour of lo below hi.  ``to_dual_tree`` needs no lookup: one
+stack pass over the sides in order joins the top two subtrees at each
+chord's larger end, as a bracket is parsed.  The other direction,
+``from_quiddity``, is the linear ear clipper of :mod:`quiddity.eta`, and
 ``validate_triangulation`` finds crossings with one sorted stack sweep.
 """
 
@@ -168,35 +170,15 @@ def to_quiddity(t: Triangulation) -> tuple:
 def from_quiddity(entries) -> Triangulation:
     """The triangulation whose vertex counts equal the given sequence.
 
-    Built by one linear ear clipper: an entry 1 marks an ear; cutting it
-    off adds the diagonal joining its neighbours, decrements them and
-    puts a neighbour that drops to 1 on the worklist of ears.  Neighbours
-    are kept in prev/next arrays.  The sequence must be a valid quiddity
-    sequence; its triangulation is unique, so the order in which ears are
-    cut does not change the diagonals, and every polygon of four or more
-    vertices left has an ear on the worklist.
+    Its diagonals are those cut off by the linear ear clipper of
+    :mod:`quiddity.eta`, which also decides that the sequence is a
+    quiddity sequence; otherwise NotQuiddityError is raised.
     """
     seq = eta.as_sequence(entries)
-    if not eta.is_eta(seq):
+    diagonals = eta._clip_ears(seq)
+    if diagonals is None:
         raise NotQuiddityError(f"{eta.format_sequence(seq)} is not a quiddity sequence")
-    n = len(seq)
-    counts = list(seq)
-    prev = [n - 1] + list(range(n - 1))
-    nxt = list(range(1, n)) + [0]
-    ears = [i for i, c in enumerate(seq) if c == 1]
-    diagonals = []
-    for _ in range(n - 3):
-        i = ears.pop()
-        u, v = prev[i], nxt[i]
-        diagonals.append((u, v) if u < v else (v, u))
-        nxt[u], prev[v] = v, u
-        counts[u] -= 1
-        counts[v] -= 1
-        if counts[u] == 1:
-            ears.append(u)
-        if counts[v] == 1:
-            ears.append(v)
-    return Triangulation(n=n, diagonals=tuple(sorted(diagonals)))
+    return Triangulation(n=len(seq), diagonals=tuple(sorted(diagonals)))
 
 
 SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
@@ -316,30 +298,23 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
         raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
     u, v = side
     start = v if (u + 1) % n == v else u
-    # relabel so the root side becomes (n-1, 0)
-    chords = []
+    # Relabel so the root side becomes (n-1, 0), and count the chords by
+    # their larger end.
+    closing = [0] * n
     for a, b in t.diagonals:
-        x, y = (a - start) % n, (b - start) % n
-        chords.append((x, y) if x < y else (y, x))
-    apexes = _apexes(n, chords)
-    # Triangles are built in preorder, left before right, on an explicit
-    # stack of (branch, lo, hi): the triangle on edge (lo, hi), hi - lo >= 2.
-    root = Branch(None, None)
-    stack = [(root, 0, n - 1)]
-    while stack:
-        node, lo, hi = stack.pop()
-        apex = apexes[lo, hi]  # every arc has one: the triangulation is valid
-        if hi - apex == 1:
-            node.right = Leaf(apex)
-        else:
-            node.right = Branch(None, None)
-            stack.append((node.right, apex, hi))
-        if apex - lo == 1:
-            node.left = Leaf(lo)
-        else:
-            node.left = Branch(None, None)
-            stack.append((node.left, lo, apex))
-    return DualTree(n=n, root=root, root_side=(u, v))
+        closing[max((a - start) % n, (b - start) % n)] += 1
+    # One pass over the sides (y-1, y): once they are pushed up to y and the
+    # chords inside (x, y) are closed, the top two subtrees are those of the
+    # arcs (x, w) and (w, y) of the triangle on the chord (x, y).  Chords
+    # closing at one y are nested and close innermost first.
+    stack = []
+    for y in range(1, n):
+        stack.append(Leaf(y - 1))
+        for _ in range(closing[y]):
+            right = stack.pop()
+            stack[-1] = Branch(stack[-1], right)
+    left, right = stack  # the two arcs of the triangle on the root side
+    return DualTree(n=n, root=Branch(left, right), root_side=(u, v))
 
 
 def _tour(tree: DualTree):

@@ -122,8 +122,12 @@ def classify(entries) -> SeqClassification:
     palindrome, pseudo-symmetric when p is even and a_i == a_{p-i mod p}
     for all i, and asymmetric otherwise.
     """
-    seq = eta.as_sequence(entries)
-    period = _least_rotations(seq)[2]
+    return _describe(eta.as_sequence(entries))[0]
+
+
+def _describe(seq: tuple):
+    """classify(seq) and canonicalize(seq) of a checked sequence, from one dihedral pass."""
+    fwd, back, period = _least_rotations(seq)
     block = seq[:period]
     if period % 2 == 1 and all(block[i] == block[period - 1 - i] for i in range(period)):
         category = SYMMETRIC
@@ -131,7 +135,8 @@ def classify(entries) -> SeqClassification:
         category = PSEUDO_SYMMETRIC
     else:
         category = ASYMMETRIC
-    return SeqClassification(period=period, category=category)
+    orbit = OrbitCanon(min(fwd, back), period if fwd == back else 2 * period)
+    return SeqClassification(period=period, category=category), orbit
 
 
 @functools.lru_cache(maxsize=None)

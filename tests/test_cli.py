@@ -44,6 +44,23 @@ def test_verify_json(capsys):
     }
 
 
+def test_verify_makes_one_dihedral_pass(capsys, monkeypatch):
+    from quiddity import similarity
+
+    calls = []
+    least_rotations = similarity._least_rotations
+
+    def counted(seq):
+        calls.append(seq)
+        return least_rotations(seq)
+
+    monkeypatch.setattr(similarity, "_least_rotations", counted)
+    code, out, _ = run(capsys, "verify", "4,2,1,3,2,2,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orbit_size"] == 14
+    assert calls == [(4, 2, 1, 3, 2, 2, 1)]
+
+
 def test_verify_rejects_non_quiddity(capsys):
     code, out, _ = run(capsys, "verify", "2,2,2")
     assert code == 1

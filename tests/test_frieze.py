@@ -313,6 +313,13 @@ def test_short_period_imposters_match_dividing_rule(q, k):
     assert isinstance(got[0], str)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 300])
+def test_fans_match_dividing_rule(n):
+    # the fan at vertex 0: a long frieze whose rows close by the glide
+    seq = (n - 2, 1) + (2,) * (n - 3) + (1,)
+    assert outcome(frieze.generate_frieze, seq) == outcome(dividing_frieze, seq)
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_one_two_imposters_match_dividing_rule(k):
     seq = (1, 2) * k

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quiddity import eta, polygons
 from quiddity.errors import InvalidSequenceError, NotQuiddityError
 from quiddity.similarity import canonical_form, catalan
+from test_frieze import same_sum_sequences
 from test_sweeps import recursive_quiddities
 
 
@@ -403,3 +404,58 @@ def test_tree_walks_match_the_recursive_walks(q):
         assert polygons.internal_count(tree) == recursive_branches(tree.root)
         assert polygons.bracket(tree) == recursive_bracket(tree.root)
         assert polygons.tree_to_dot(tree) == recursive_dot(tree)
+
+
+@relaxed
+@given(st.one_of(st.lists(st.integers(1, 6), min_size=3, max_size=16),
+                 same_sum_sequences(), quiddities(40)))
+def test_from_quiddity_refuses_exactly_the_non_quiddities(seq):
+    try:
+        t = polygons.from_quiddity(seq)
+    except NotQuiddityError as exc:
+        assert not eta.is_eta(seq)
+        assert str(exc) == f"{eta.format_sequence(seq)} is not a quiddity sequence"
+    else:
+        assert eta.is_eta(seq)
+        assert polygons.to_quiddity(t) == tuple(seq)
+
+
+def apex_map_tree(t, root_side):
+    """Reference: the dual tree built top-down from the apex of each arc's triangle."""
+    n = t.n
+    u, v = root_side
+    start = v if (u + 1) % n == v else u
+    chords = [tuple(sorted(((a - start) % n, (b - start) % n))) for a, b in t.diagonals]
+    apexes = polygons._apexes(n, chords)
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return polygons.Leaf(lo)
+        apex = apexes[lo, hi]
+        return polygons.Branch(build(lo, apex), build(apex, hi))
+
+    return build(0, n - 1)
+
+
+def assert_trees_match_apex_map(q):
+    n = len(q)
+    t = polygons.from_quiddity(q)
+    for u in range(n):
+        side = (u, (u + 1) % n)
+        expected = recursive_bracket(apex_map_tree(t, side))
+        assert recursive_bracket(polygons.to_dual_tree(t, side).root) == expected, (q, side)
+
+
+def test_dual_tree_matches_apex_map_exhaustive(quiddities_by_n):
+    trees = 0
+    for n in range(3, 11):
+        for q in quiddities_by_n[n]:
+            assert_trees_match_apex_map(q)
+            trees += n
+    assert trees == 19631
+
+
+@relaxed
+@given(quiddities(60))
+def test_dual_tree_matches_apex_map_up_to_60_gon(q):
+    assert_trees_match_apex_map(q)

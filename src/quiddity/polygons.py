@@ -29,17 +29,19 @@ exhaustive sweep of the package, here and in :mod:`quiddity.similarity`,
 runs only for 3 <= n <= SWEEP_CAP unless its ``cap=`` argument (the CLI's
 ``--cap``) raises the cap; ``check_sweep`` is the one range check.
 
-A given triangulation is walked the same way by ``triangles``, with an
-apex lookup: the triangle resting on an edge (lo, hi) has as apex the
-largest neighbour of lo below hi.  ``to_dual_tree`` needs no lookup: one
-stack pass over the sides in order joins the top two subtrees at each
-chord's larger end, as a bracket is parsed.  The other direction,
-``from_quiddity``, is the linear ear clipper of :mod:`quiddity.eta`, and
-``validate_triangulation`` finds crossings with one sorted stack sweep.
+A given triangulation is read by one pass, that of ``to_dual_tree``: over
+the sides in order, it joins the top two subtrees at each chord's larger
+end, as a bracket is parsed, and a chord that does not start where the
+lower of the two arcs starts crosses another.  ``validate_triangulation``
+is this pass with the tree thrown away, ``triangles`` reads the tree's
+Euler tour, and ``to_quiddity`` counts the diagonals at each vertex.  The
+other direction, ``from_quiddity``, is the linear ear clipper of
+:mod:`quiddity.eta`.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from . import eta
@@ -55,37 +57,11 @@ class Triangulation(namedtuple("Triangulation", "n diagonals")):
         return {"n": self.n, "diagonals": [list(d) for d in self.diagonals]}
 
 
-def _crosses(d1, d2) -> bool:
-    a, b = d1
-    c, d = d2
-    return (a < c < b < d) or (c < a < d < b)
-
-
-def _crossing_free(diagonals) -> bool:
-    """Whether no two chords cross, by one sweep over them sorted by (u, -v).
-
-    The stack holds the right ends of the chords still open at u, which
-    are nested; a new chord crosses an earlier one exactly when it ends
-    beyond the innermost of them.
-    """
-    ends = []
-    for u, neg_v in sorted((u, -v) for u, v in diagonals):
-        while ends and ends[-1] <= u:
-            ends.pop()
-        if ends and ends[-1] < -neg_v:
-            return False
-        ends.append(-neg_v)
-    return True
-
-
-def validate_triangulation(t: Triangulation) -> None:
-    """Check ranges, non-adjacency, non-crossing and the n-3 count.
-
-    Crossings are found by one sorted sweep; only a set that has one is
-    scanned pair by pair, to name its first crossing pair in the given
-    order.
-    """
+def _check_diagonals(t: Triangulation) -> None:
+    """Check the int types, ranges, non-adjacency, distinctness and the n-3 count."""
     n = t.n
+    if type(n) is not int:  # also refuses bool
+        raise InvalidSequenceError(f"polygon size must be an int, got {n!r}")
     if n < 3:
         raise InvalidSequenceError(f"polygon needs at least 3 vertices, got {n}")
     seen = set()
@@ -93,6 +69,8 @@ def validate_triangulation(t: Triangulation) -> None:
         if len(d) != 2:
             raise InvalidSequenceError(f"diagonal {d!r} is not a vertex pair")
         u, v = d
+        if type(u) is not int or type(v) is not int:
+            raise InvalidSequenceError(f"diagonal {d!r} has a vertex that is not an int")
         if not (0 <= u < v < n):
             raise InvalidSequenceError(f"diagonal {d!r} out of range or unsorted")
         if v - u == 1 or (u == 0 and v == n - 1):
@@ -104,13 +82,22 @@ def validate_triangulation(t: Triangulation) -> None:
         raise InvalidSequenceError(
             f"expected {n - 3} diagonals for an {n}-gon, got {len(t.diagonals)}"
         )
-    if _crossing_free(t.diagonals):
-        return
-    diags = list(t.diagonals)
-    for i in range(len(diags)):
-        for j in range(i + 1, len(diags)):
-            if _crosses(diags[i], diags[j]):
-                raise InvalidSequenceError(f"diagonals {diags[i]} and {diags[j]} cross")
+
+
+def _raise_first_crossing(diagonals) -> None:
+    """Name the first crossing pair (i < j) in the given order; some pair crosses."""
+    for d1, d2 in itertools.combinations(diagonals, 2):
+        (a, b), (c, d) = d1, d2
+        if a < c < b < d or c < a < d < b:
+            raise InvalidSequenceError(f"diagonals {d1} and {d2} cross")
+
+
+def validate_triangulation(t: Triangulation) -> None:
+    """Check types, ranges, non-adjacency, distinctness, the n-3 count and non-crossing.
+
+    This is the pass of ``to_dual_tree``, with the tree thrown away.
+    """
+    to_dual_tree(t)
 
 
 def make_triangulation(n: int, diagonals) -> Triangulation:
@@ -119,51 +106,30 @@ def make_triangulation(n: int, diagonals) -> Triangulation:
     return t
 
 
-def _apexes(n: int, chords) -> dict:
-    """Map each edge (lo, hi) of a triangulated n-gon to the apex of its triangle.
-
-    The triangle resting on (lo, hi) inside the arc lo..hi has as apex the
-    largest neighbour of lo below hi, which is the neighbour listed just
-    before hi once the edges are sorted.  An edge whose candidate is not
-    joined to hi has no triangle and no entry (a malformed set).
-    """
-    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)} | set(chords)
-    ordered = sorted(edges)
-    return {
-        (u, v): w
-        for (u, w), (x, v) in zip(ordered, ordered[1:])
-        if u == x and (w, v) in edges
-    }
-
-
 def triangles(t: Triangulation):
-    """The n-2 triangles as sorted vertex triples, in arc-recursion order.
+    """The n-2 triangles as sorted vertex triples (lo, apex, hi), in preorder.
 
-    The arcs are walked in preorder, left arc first, on an explicit stack,
-    so a fan of any size stays within the recursion limit.
+    A triangle is a branch of the dual tree rooted at (n-1, 0), and its lo,
+    apex and hi are the numbers of sides the Euler tour has passed at the
+    branch's visits 0, 1 and 2; the dict keeps the branches in preorder.
     """
-    apexes = _apexes(t.n, t.diagonals)
-    out = []
-    stack = [(0, t.n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        apex = apexes.get((lo, hi))
-        if apex is None:
-            raise InvalidSequenceError(f"no triangle on chord ({lo},{hi}); malformed set")
-        out.append((lo, apex, hi))
-        stack += ((apex, hi), (lo, apex))
-    return out
+    corners = {}
+    sides = 0
+    for node, _ in _tour(to_dual_tree(t)):
+        if node.is_leaf:
+            sides += 1
+        else:
+            corners.setdefault(node, []).append(sides)
+    return [tuple(c) for c in corners.values()]
 
 
 def to_quiddity(t: Triangulation) -> tuple:
-    """Per-vertex incident-triangle counts."""
+    """Per-vertex incident-triangle counts: one more than the diagonals at the vertex."""
     validate_triangulation(t)
-    counts = [0] * t.n
-    for tri in triangles(t):
-        for v in tri:
-            counts[v] += 1
+    counts = [1] * t.n
+    for u, v in t.diagonals:
+        counts[u] += 1
+        counts[v] += 1
     return tuple(counts)
 
 
@@ -288,32 +254,43 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     counts spell the quiddity sequence starting at the counterclockwise
     endpoint of the root side.
     """
-    validate_triangulation(t)
+    _check_diagonals(t)
     n = t.n
     if root_side is None:
         root_side = (n - 1, 0)
     side = tuple(root_side)
-    if not (len(side) == 2 and all(isinstance(x, int) and 0 <= x < n for x in side)
+    if not (len(side) == 2 and all(type(x) is int and 0 <= x < n for x in side)
             and (side[1] - side[0]) % n in (1, n - 1)):
+        validate_triangulation(t)  # a crossing is reported before a bad root side
         raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
     u, v = side
     start = v if (u + 1) % n == v else u
-    # Relabel so the root side becomes (n-1, 0), and count the chords by
-    # their larger end.
-    closing = [0] * n
-    for a, b in t.diagonals:
-        closing[max((a - start) % n, (b - start) % n)] += 1
-    # One pass over the sides (y-1, y): once they are pushed up to y and the
-    # chords inside (x, y) are closed, the top two subtrees are those of the
-    # arcs (x, w) and (w, y) of the triangle on the chord (x, y).  Chords
-    # closing at one y are nested and close innermost first.
-    stack = []
+    # Relabel so the root side becomes (n-1, 0), and bucket the chords (x, y)
+    # by their larger end y, innermost (largest x) first.
+    closing = [[] for _ in range(n)]
+    for x, y in t.diagonals:
+        x, y = (x - start) % n, (y - start) % n
+        if x > y:
+            x, y = y, x
+        closing[y].append(x)
+    for ends in closing:
+        ends.sort(reverse=True)
+    # One pass over the sides (y-1, y) keeps the arcs that partition 0..y as
+    # a stack of their first vertices, and the subtree of each arc.  Once the
+    # chords inside (x, y) are joined, the top two arcs are the arcs (x, w)
+    # and (w, y) of the triangle on the chord (x, y), so the lower arc starts
+    # at x.  If it does not, the set is no triangulation, and n - 3 distinct
+    # diagonals that are no triangulation cross.
+    subtree = [Leaf(i) for i in range(n - 1)]
+    starts = []
     for y in range(1, n):
-        stack.append(Leaf(y - 1))
-        for _ in range(closing[y]):
-            right = stack.pop()
-            stack[-1] = Branch(stack[-1], right)
-    left, right = stack  # the two arcs of the triangle on the root side
+        starts.append(y - 1)
+        for x in closing[y]:
+            w = starts.pop()
+            if starts[-1] != x:
+                _raise_first_crossing(t.diagonals)
+            subtree[x] = Branch(subtree[x], subtree[w])
+    left, right = (subtree[x] for x in starts)  # the arcs of the root triangle
     return DualTree(n=n, root=Branch(left, right), root_side=(u, v))
 
 

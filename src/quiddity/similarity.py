@@ -304,8 +304,6 @@ def count_types(n: int, method: str = "formula", cap: int = None) -> int:
     K_n = sum of |Stab(q)| / 2n, without canonical forms.
     """
     if method == "formula":
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n}")
         return sum(case_count(tp) for tp in perfect_tripartitions(n))
     if method == "brute":
         return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)

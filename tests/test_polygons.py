@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -244,12 +245,17 @@ def pairwise_crossing_message(diagonals):
     return None
 
 
-def validation_message(t):
+def raised_message(call, *args):
+    """The message of the InvalidSequenceError that call(*args) raises, or None."""
     try:
-        polygons.validate_triangulation(t)
+        call(*args)
     except InvalidSequenceError as exc:
         return str(exc)
     return None
+
+
+def validation_message(t):
+    return raised_message(polygons.validate_triangulation, t)
 
 
 @st.composite
@@ -277,6 +283,22 @@ def test_shuffled_triangulations_validate(q, rnd):
     diagonals = list(polygons.from_quiddity(q).diagonals)
     rnd.shuffle(diagonals)
     assert validation_message(polygons.Triangulation(n=len(q), diagonals=tuple(diagonals))) is None
+
+
+@relaxed
+@given(diagonal_sets(), st.booleans())
+def test_every_reader_names_the_first_crossing(case, ordered):
+    # the pass finds crossings in relabelled vertices; the message names the given pair
+    n, diagonals = case
+    if ordered:
+        diagonals = tuple(sorted(diagonals))
+    t = polygons.Triangulation(n=n, diagonals=diagonals)
+    expected = pairwise_crossing_message(diagonals)
+    assert raised_message(polygons.to_quiddity, t) == expected
+    assert raised_message(polygons.triangles, t) == expected
+    for u in range(n):
+        for side in ((u, (u + 1) % n), ((u + 1) % n, u)):
+            assert raised_message(polygons.to_dual_tree, t, side) == expected, side
 
 
 def test_crossing_message_names_the_first_pair():
@@ -323,8 +345,56 @@ def test_tree_readout_on_every_root_side(q):
         assert polygons.tree_quiddity(tree) == eta.rotate(q, (u + 1) % n)
 
 
+def reference_counts(t):
+    counts = [0] * t.n
+    for triangle in first_apex_triangles(t):
+        for v in triangle:
+            counts[v] += 1
+    return tuple(counts)
+
+
+@relaxed
+@given(quiddities(60), st.randoms(use_true_random=False))
+def test_to_quiddity_counts_the_reference_triangles(q, rnd):
+    diagonals = list(polygons.from_quiddity(q).diagonals)
+    rnd.shuffle(diagonals)
+    t = polygons.Triangulation(n=len(q), diagonals=tuple(diagonals))
+    assert polygons.to_quiddity(t) == reference_counts(t) == q
+    assert polygons.triangles(t) == first_apex_triangles(t)
+
+
+@pytest.mark.parametrize("n,diagonals,value", [
+    (4.0, ((0, 2),), "4.0"),
+    (True, (), "True"),
+    (4, ((0, 2.0),), "2.0"),
+    (4, ((False, 2),), "False"),
+    (5, ((1, 4), (2, 4.0)), "4.0"),
+])
+def test_non_integer_sizes_and_vertices_are_refused(n, diagonals, value):
+    t = polygons.Triangulation(n=n, diagonals=diagonals)
+    for call in (polygons.validate_triangulation, polygons.to_quiddity,
+                 polygons.to_dual_tree, polygons.triangles):
+        with pytest.raises(InvalidSequenceError, match=re.escape(value)):
+            call(t)
+    with pytest.raises(InvalidSequenceError, match=re.escape(value)):
+        polygons.make_triangulation(n, diagonals)
+
+
+@pytest.mark.parametrize("side", [(True, 0), (4, False), (0.0, 1), (4, 0.0)])
+def test_root_side_vertices_are_integers(side):
+    t = polygons.from_quiddity((1, 2, 2, 1, 3))
+    with pytest.raises(InvalidSequenceError, match=re.escape(f"{side!r} is not a polygon side")):
+        polygons.to_dual_tree(t, root_side=side)
+
+
+def test_a_crossing_is_reported_before_a_bad_root_side():
+    t = polygons.Triangulation(n=6, diagonals=((0, 2), (1, 3), (3, 5)))
+    with pytest.raises(InvalidSequenceError, match=r"diagonals \(0, 2\) and \(1, 3\) cross"):
+        polygons.to_dual_tree(t, root_side=(0, 2))
+
+
 def test_triangles_of_a_malformed_set_raise():
-    with pytest.raises(InvalidSequenceError, match=r"no triangle on chord \(0,4\)"):
+    with pytest.raises(InvalidSequenceError, match=r"expected 2 diagonals for an 5-gon, got 0"):
         polygons.triangles(polygons.Triangulation(n=5, diagonals=()))
 
 
@@ -343,6 +413,15 @@ def test_deep_fan_stays_within_the_recursion_limit():
     assert polygons.internal_count(tree) == 2998
     assert polygons.bracket(tree).startswith("(" * 2998 + "b,c)")
     assert polygons.tree_to_dot(tree).endswith("  root -> t0;\n}")
+
+
+def test_chords_closing_at_one_vertex_join_innermost_first():
+    # rooted at (0, 1), the fan at vertex 0 closes all its chords at the last vertex
+    q = fan(3000)
+    tree = polygons.to_dual_tree(polygons.from_quiddity(q), root_side=(0, 1))
+    assert polygons.tree_quiddity(tree) == eta.rotate(q, 1)
+    comb = "".join(f"({polygons.side_name(i)}," for i in range(2998))
+    assert polygons.bracket(tree) == comb + polygons.side_name(2998) + ")" * 2998
 
 
 def recursive_bracket(node):
@@ -420,13 +499,29 @@ def test_from_quiddity_refuses_exactly_the_non_quiddities(seq):
         assert polygons.to_quiddity(t) == tuple(seq)
 
 
+def apex_map(n, chords):
+    """Map each edge (lo, hi) of a triangulated n-gon to the apex of its triangle.
+
+    The triangle resting on (lo, hi) inside the arc lo..hi has as apex the
+    largest neighbour of lo below hi, which is the neighbour listed just
+    before hi once the edges are sorted.
+    """
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)} | set(chords)
+    ordered = sorted(edges)
+    return {
+        (u, v): w
+        for (u, w), (x, v) in zip(ordered, ordered[1:])
+        if u == x and (w, v) in edges
+    }
+
+
 def apex_map_tree(t, root_side):
     """Reference: the dual tree built top-down from the apex of each arc's triangle."""
     n = t.n
     u, v = root_side
     start = v if (u + 1) % n == v else u
     chords = [tuple(sorted(((a - start) % n, (b - start) % n))) for a, b in t.diagonals]
-    apexes = polygons._apexes(n, chords)
+    apexes = apex_map(n, chords)
 
     def build(lo, hi):
         if hi - lo == 1:

@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text + "\n")
     return code[0] if code else EXIT_OK
 
 

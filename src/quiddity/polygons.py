@@ -58,14 +58,19 @@ class Triangulation(namedtuple("Triangulation", "n diagonals")):
 
 
 def _check_diagonals(t: Triangulation) -> None:
-    """Check the int types, ranges, non-adjacency, distinctness and the n-3 count."""
+    """Check the shapes, int types, ranges, non-adjacency, distinctness and the n-3 count."""
     n = t.n
     if type(n) is not int:  # also refuses bool
         raise InvalidSequenceError(f"polygon size must be an int, got {n!r}")
     if n < 3:
         raise InvalidSequenceError(f"polygon needs at least 3 vertices, got {n}")
+    if not isinstance(t.diagonals, (tuple, list)):
+        raise InvalidSequenceError(
+            f"diagonals must be a tuple or list of vertex pairs, got {t.diagonals!r}")
     seen = set()
     for d in t.diagonals:
+        if not isinstance(d, tuple):
+            raise InvalidSequenceError(f"diagonal {d!r} is not a tuple")
         if len(d) != 2:
             raise InvalidSequenceError(f"diagonal {d!r} is not a vertex pair")
         u, v = d
@@ -258,7 +263,7 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     n = t.n
     if root_side is None:
         root_side = (n - 1, 0)
-    side = tuple(root_side)
+    side = tuple(root_side) if isinstance(root_side, (tuple, list)) else ()
     if not (len(side) == 2 and all(type(x) is int and 0 <= x < n for x in side)
             and (side[1] - side[0]) % n in (1, n - 1)):
         validate_triangulation(t)  # a crossing is reported before a bad root side

@@ -36,18 +36,19 @@ central triangle, the glued n-gon has quiddity
      c1, ..., c_{w-1})
 
 with the three +1s contributed by the central triangle itself.  A central
-diameter (k = 0) glues two sequences the same way without the +1s, and a
-degenerate 2-gon arm (k = 1) enters as the placeholder (0, 0).
+diameter (k = 0) glues two sequences the same way without the +1s.  An
+arc of one side is a degenerate 2-gon arm and enters as (0, 0), in any
+slot and in any number: the formula holds for it unchanged.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 
 from . import eta, polygons
-from .errors import InvalidSequenceError
 
 DEGENERATE = (0, 0)
 
@@ -232,27 +233,18 @@ def compose(a, b, c=None) -> tuple:
 
     ``compose(a, b)`` glues along a shared diameter; ``compose(a, b, c)``
     glues around a central triangle, each junction vertex picking up the
-    +1 the central triangle contributes.  At most one argument may be the
-    degenerate 2-gon (0, 0) (it is rotated into the third slot first);
-    the result is always a valid quiddity sequence.
+    +1 the central triangle contributes.  Around a triangle, any arm may
+    be the degenerate 2-gon (0, 0), in any slot and in any number: three
+    give the triangle (1, 1, 1) itself, and turning the arms to put a 2-gon
+    in another slot rotates the result.  The result is always a valid
+    quiddity sequence.
     """
     if c is None:
         a = eta.as_sequence(a)
         b = eta.as_sequence(b)
         u, v = len(a) - 1, len(b) - 1
         return (a[0] + b[v],) + a[1:u] + (a[u] + b[0],) + b[1:v]
-    args = [tuple(a), tuple(b), tuple(c)]
-    if sum(x == DEGENERATE for x in args) > 1:
-        raise InvalidSequenceError("at most one composition argument may be the 2-gon (0,0)")
-    while args[2] != DEGENERATE and DEGENERATE in args:
-        args = [args[1], args[2], args[0]]
-    a, b, c = args
-    if a != DEGENERATE:
-        a = eta.as_sequence(a)
-    if b != DEGENERATE:
-        b = eta.as_sequence(b)
-    if c != DEGENERATE:
-        c = eta.as_sequence(c)
+    a, b, c = [x if x == DEGENERATE else eta.as_sequence(x) for x in map(tuple, (a, b, c))]
     u, v, w = len(a) - 1, len(b) - 1, len(c) - 1
     return (
         (a[0] + c[w] + 1,)
@@ -314,35 +306,18 @@ def enumerate_types(n: int, cap: int = None):
     """One canonical representative per similarity type, sorted.
 
     Realizes the central-structure decomposition: for every perfect
-    tri-partition, compose all triangulation quiddities of the arc
-    sub-polygons (the degenerate arm contributing (0, 0), the diameter
-    case gluing pairs) and deduplicate canonical forms.  Produces exactly
-    K_n types.  Refused outside 3..cap like the brute force; the arc
-    sub-polygons are swept under the same cap.
+    tri-partition, compose every choice of arms, one triangulation quiddity
+    per arc sub-polygon (two arms for a central diameter, the 2-gon (0, 0)
+    for an arc of one side), and deduplicate canonical forms.  Produces
+    exactly K_n types.  Refused outside 3..cap like the brute force; the
+    arc sub-polygons are swept under the same cap.
     """
     polygons.check_sweep(n, cap)
-    if n == 3:
-        return [(1, 1, 1)]
-
-    piece_cache = {}
-
-    def pieces(length):
-        if length == 2:
-            return [DEGENERATE]
-        if length not in piece_cache:
-            piece_cache[length] = list(polygons.iter_quiddities(length, cap))
-        return piece_cache[length]
-
+    arms = {2: [DEGENERATE]}
+    for length in range(3, n // 2 + 2):
+        arms[length] = list(polygons.iter_quiddities(length, cap))
     found = set()
     for tp in perfect_tripartitions(n):
-        i, j, k = tp.parts()
-        if k == 0:
-            for a in pieces(i + 1):
-                for b in pieces(j + 1):
-                    found.add(canonical_form(compose(a, b)))
-        else:
-            for a in pieces(i + 1):
-                for b in pieces(j + 1):
-                    for c in pieces(k + 1):
-                        found.add(canonical_form(compose(a, b, c)))
+        for choice in itertools.product(*(arms[p + 1] for p in tp.parts() if p)):
+            found.add(canonical_form(compose(*choice)))
     return sorted(found)

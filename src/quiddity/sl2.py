@@ -14,13 +14,13 @@ Conventions used throughout the package:
 
   and ``U**a == [[1, 0], [a, 1]]``.
 
-``Mat2`` is the public, validated type: its constructor checks the
-determinant, so a matrix is validated where a user builds one and once
-per matrix the package returns.  Intermediate products never build a
-``Mat2``; they run on plain ``(a, b, c, d)`` int tuples, since a product
-of determinant-1 matrices has determinant 1.  One kernel,
-:func:`word_product`, multiplies out words U^x0*S * U^x1*S * ...; it
-serves ``eval_word``, ``eval_tokens``, ``TSNormalForm.to_matrix``,
+``Mat2`` is the public, validated type: its constructor checks that the
+entries are ints and the determinant is 1, so a matrix is validated where
+a user builds one and once per matrix the package returns.  Intermediate
+products never build a ``Mat2``; they run on plain ``(a, b, c, d)`` int
+tuples, since a product of determinant-1 matrices has determinant 1.  One
+kernel, :func:`word_product`, multiplies out words U^x0*S * U^x1*S * ...;
+it serves ``eval_word``, ``eval_tokens``, ``TSNormalForm.to_matrix``,
 ``eta.is_eta`` and ``eta.word_matrix``, and with :func:`mul` the matrix
 frieze in :mod:`quiddity.frieze`.  ``ts_normal_form`` descends on tuples.
 """
@@ -42,6 +42,8 @@ class Mat2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not type(a) is type(b) is type(c) is type(d) is int:  # also refuses bool
+            raise InvalidSequenceError(f"matrix entries must be ints, got {[[a, b], [c, d]]}")
         self.a, self.b, self.c, self.d = a, b, c, d
         if a * d - b * c != 1:
             raise NotUnimodularError(f"determinant is not 1: {self.rows()}")

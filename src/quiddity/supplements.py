@@ -130,9 +130,6 @@ def extend_superbasic(seqs) -> tuple:
     blocks = [check_superbasic(s) for s in seqs]
     if not blocks:
         raise InvalidSequenceError("need at least one super-basic sequence")
-    if len(blocks) == 1:
-        a = blocks[0]
-        return a + supplement(a)
     merged = list(blocks[0])
     junctions = []
     for block in blocks[1:]:
@@ -164,9 +161,11 @@ def is_embeddable(entries) -> Embeddability:
     (a 1 flanked by 2s would leave some) and each 1 of the segment is an
     ear.  Contracting it inside the segment keeps the answer, and
     :func:`eta.expand` undoes that.  So one left-to-right pass contracts the
-    1s until adjacent 1s answer no, or until what is left completes by a fan
-    or a supplement; replaying the contractions as expansions of that
-    completion gives a witness starting with the query.
+    1s until adjacent 1s answer no.  Otherwise what is left, r, completes
+    as r + supplement((1,) + r) + (1,): a single entry a >= 2 gives the fan
+    (a, 1, 2, ..., 2, 1), and nothing or a lone 1 gives (1, 1, 1).
+    Replaying the contractions as expansions of that completion gives a
+    witness starting with the query.
     """
     seq = eta.as_sequence(entries, min_length=0)
     if (1, 1) in zip(seq, seq[1:]):
@@ -193,10 +192,8 @@ def is_embeddable(entries) -> Embeddability:
         ears.append(len(rest) - 1)
         rest.pop()
         rest[-1] -= 1
-    if not rest:
+    if rest in ([], [1]):
         witness = [1, 1, 1]
-    elif len(rest) == 1:
-        witness = list(fan(rest[0]))
     else:
         witness = rest + list(supplement([1] + rest)) + [1]
     for i in reversed(ears):  # eta.expand at the cyclic gap before position i

@@ -63,22 +63,8 @@ class TilingWindow(namedtuple("TilingWindow", "i0 i1 j0 j1 values")):
         return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.values)
 
 
-class FactorVectors:
-    """Column factors k[j] and row factors l[i], on interior indices."""
-
-    __slots__ = ("k", "l")
-
-    def __init__(self, k: dict = None, l: dict = None):
-        self.k = {} if k is None else k
-        self.l = {} if l is None else l
-
-    def __eq__(self, other):
-        if type(other) is not FactorVectors:
-            return NotImplemented
-        return (self.k, self.l) == (other.k, other.l)
-
-    def __repr__(self):
-        return f"FactorVectors(k={self.k!r}, l={self.l!r})"
+# Column factors k[j] and row factors l[i], on interior indices.
+FactorVectors = namedtuple("FactorVectors", "k l")
 
 
 def window_from_values(i0: int, j0: int, values) -> TilingWindow:

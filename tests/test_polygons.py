@@ -387,6 +387,33 @@ def test_root_side_vertices_are_integers(side):
         polygons.to_dual_tree(t, root_side=side)
 
 
+@pytest.mark.parametrize("diagonals,message", [
+    ((5,), "diagonal 5 is not a tuple"),
+    (([0, 2],), "diagonal [0, 2] is not a tuple"),
+    (None, "diagonals must be a tuple or list of vertex pairs, got None"),
+])
+def test_malformed_diagonal_shapes_are_refused(diagonals, message):
+    t = polygons.Triangulation(4, diagonals)
+    for call in (polygons.validate_triangulation, polygons.to_quiddity,
+                 polygons.to_dual_tree, polygons.triangles):
+        with pytest.raises(InvalidSequenceError, match=re.escape(message)):
+            call(t)
+
+
+@pytest.mark.parametrize("side", [5, 1.5, "30", {3, 0}])
+def test_a_root_side_that_is_no_pair_is_refused(side):
+    t = polygons.from_quiddity((1, 2, 1, 2))
+    with pytest.raises(InvalidSequenceError, match=re.escape(f"{side!r} is not a polygon side")):
+        polygons.to_dual_tree(t, root_side=side)
+
+
+def test_a_list_root_side_is_read_as_a_pair():
+    t = polygons.from_quiddity((1, 2, 2, 1, 3))
+    tree = polygons.to_dual_tree(t, root_side=[1, 2])
+    assert tree.root_side == (1, 2)
+    assert polygons.bracket(tree) == polygons.bracket(polygons.to_dual_tree(t, root_side=(1, 2)))
+
+
 def test_a_crossing_is_reported_before_a_bad_root_side():
     t = polygons.Triangulation(n=6, diagonals=((0, 2), (1, 3), (3, 5)))
     with pytest.raises(InvalidSequenceError, match=r"diagonals \(0, 2\) and \(1, 3\) cross"):

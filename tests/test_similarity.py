@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiddity import eta, polygons, similarity, supplements
-from quiddity.errors import InvalidSequenceError
 from quiddity.similarity import (
     ASYMMETRIC,
     PSEUDO_SYMMETRIC,
@@ -316,9 +315,24 @@ class TestCompose:
         rotated_args = compose((0, 0), (1, 1, 1), (2, 1, 2, 1))
         assert canonical_form(base) == canonical_form(rotated_args)
 
-    def test_two_degenerates_rejected(self):
-        with pytest.raises(InvalidSequenceError):
-            compose((1, 1, 1), (0, 0), (0, 0))
+    def test_three_degenerates_glue_the_triangle(self):
+        assert compose((0, 0), (0, 0), (0, 0)) == (1, 1, 1)
+        assert compose((1, 1, 1), (0, 0), (0, 0)) == (2, 1, 2, 1)
+
+    @pytest.mark.parametrize("degenerates", [1, 2, 3])
+    def test_degenerates_in_every_placement(self, degenerates):
+        # turning the arms puts the 2-gons in every slot and only rotates the result
+        small = [(1, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2), (1, 3, 1, 2, 2)]
+        for others in itertools.product(small, repeat=3 - degenerates):
+            arms = others + ((0, 0),) * degenerates
+            last = compose(*arms)
+            rotations = {eta.rotate(last, r) for r in range(len(last))}
+            for turn in range(3):
+                glued = compose(*arms[turn:], *arms[:turn])
+                assert glued in rotations
+                assert canonical_form(glued) == canonical_form(last)
+            for order in itertools.permutations(arms):
+                assert eta.is_eta(compose(*order))
 
     def test_outputs_are_valid(self, quiddities_by_n):
         for a in quiddities_by_n[3] + quiddities_by_n[4]:
@@ -355,6 +369,22 @@ class TestEnumerateTypes:
             for rep in enumerate_types(n):
                 assert eta.is_eta(rep)
                 assert canonical_form(rep) == rep
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_each_tripartition_glues_its_case_count(self, n):
+        # the paper's K_n = sum of N(i, j, k), term by term: the loop of
+        # enumerate_types, with one set of canonical forms per tri-partition
+        arms = {2: [(0, 0)]}
+        for length in range(3, n // 2 + 2):
+            arms[length] = list(polygons.iter_quiddities(length))
+        union = set()
+        for tp in perfect_tripartitions(n):
+            glued = {canonical_form(compose(*choice))
+                     for choice in itertools.product(*(arms[p + 1] for p in tp.parts() if p))}
+            assert len(glued) == case_count(tp), tp
+            assert union.isdisjoint(glued), tp
+            union |= glued
+        assert union == set(enumerate_types(n))
 
     def test_composition_respects_central_arc_counts(self):
         # every length-7 type arises from exactly one partition family

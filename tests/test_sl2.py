@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +40,27 @@ def test_determinant_enforced():
         Mat2(1, 0, 0, 2)
     with pytest.raises(NotUnimodularError):
         Mat2(2, 0, 0, 2)
+
+
+@pytest.mark.parametrize("entries", [
+    (0.5, 0, 0, 2),
+    (Fraction(1, 2), 0, 0, 2),
+    (1.0, 0, 0, 1),
+    (1, 0, 0, 1.0),
+    (True, False, False, True),
+    (1, 0, 0, True),
+    (Fraction(1), 0, 0, 1),
+])
+def test_entries_must_be_ints(entries):
+    # determinant 1 each time, so only the entry check refuses them
+    a, b, c, d = entries
+    with pytest.raises(InvalidSequenceError, match=re.escape(repr([[a, b], [c, d]]))):
+        Mat2(*entries)
+
+
+def test_word_matrix_of_float_entries_is_refused():
+    with pytest.raises(InvalidSequenceError, match="matrix entries must be ints"):
+        eta.word_matrix((1.0, 1, 1))
 
 
 @pytest.mark.parametrize(

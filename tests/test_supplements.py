@@ -120,10 +120,11 @@ class TestSupplement:
 
 class TestExtendSuperbasic:
     def test_single_block(self):
-        a = (1, 3, 3)
-        out = supplements.extend_superbasic([a])
-        assert out == a + supplements.supplement(a)
-        assert eta.is_eta(out)
+        # one block has no junction, so the merge loop leaves it as it is
+        for a in [(1, 3, 3), (1, 4, 3), (1, 3, 2, 2, 5), (1, 6, 2, 4, 3), (1, 9, 9)]:
+            out = supplements.extend_superbasic([a])
+            assert out == a + supplements.supplement(a)
+            assert eta.is_eta(out)
 
     def test_two_blocks(self):
         out = supplements.extend_superbasic([(1, 3, 3), (1, 3, 3)])
@@ -171,7 +172,8 @@ class TestEmbeddability:
         assert res.embeddable is False
 
     def test_single_integer_embeds_in_a_fan(self):
-        for a in [1, 2, 5, 9]:
+        # the supplement completes a lone a >= 2 as the fan (a, 1, 2, ..., 2, 1)
+        for a in range(1, 31):
             res = supplements.is_embeddable((a,))
             assert res.embeddable is True
             assert res.witness == supplements.fan(a)

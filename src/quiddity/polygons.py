@@ -105,12 +105,6 @@ def validate_triangulation(t: Triangulation) -> None:
     to_dual_tree(t)
 
 
-def make_triangulation(n: int, diagonals) -> Triangulation:
-    t = Triangulation(n=n, diagonals=tuple(sorted(tuple(sorted(d)) for d in diagonals)))
-    validate_triangulation(t)
-    return t
-
-
 def triangles(t: Triangulation):
     """The n-2 triangles as sorted vertex triples (lo, apex, hi), in preorder.
 
@@ -158,6 +152,8 @@ SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
 def check_sweep(n: int, cap: int = None) -> None:
     """Refuse an exhaustive sweep at n unless 3 <= n <= cap (default SWEEP_CAP)."""
     limit = SWEEP_CAP if cap is None else cap
+    if type(n) is not int:  # also refuses bool
+        raise InvalidSequenceError(f"n must be an int, got {n!r}")
     if not 3 <= n <= limit:
         raise ValueError(f"n={n} outside 3..{limit} (raise the cap with cap= or --cap)")
 

@@ -49,6 +49,7 @@ import math
 from collections import namedtuple
 
 from . import eta, polygons
+from .errors import InvalidSequenceError
 
 DEGENERATE = (0, 0)
 
@@ -156,9 +157,16 @@ def _tsa(length: int):
 
 def count_TSA(n: int):
     """(T_n, S_n, A_n): all, reversal-fixed, and paired quiddity sequences."""
+    _check_n(n)
+    return _tsa(n)
+
+
+def _check_n(n) -> None:
+    """Refuse an n that is not an int (bools included) or is below 3."""
+    if type(n) is not int:
+        raise InvalidSequenceError(f"n must be an int, got {n!r}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    return _tsa(n)
 
 
 def count_TSA_brute(n: int, cap: int = None):
@@ -180,8 +188,7 @@ def perfect_tripartitions(n: int):
     (which forces k >= 1).  Cases: A central diameter, B degenerate arm
     k = 1 for i = j = m, then C/D/E/F by the equality pattern of i, j, k.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    _check_n(n)
     m = n // 2
     out = []
     if n % 2 == 0:
@@ -298,6 +305,7 @@ def count_types(n: int, method: str = "formula", cap: int = None) -> int:
     if method == "formula":
         return sum(case_count(tp) for tp in perfect_tripartitions(n))
     if method == "brute":
+        polygons.check_sweep(n, cap)  # the generator checks n only at its first item
         return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)
     raise ValueError(f"method must be 'formula' or 'brute', got {method!r}")
 

@@ -19,6 +19,9 @@ becomes the singleton x + 3 (x + 2 on either boundary, x + 1 when the
 sequence is nothing but 2s) and an entry A becomes A - 3 copies of 2
 (A - 2 against a missing boundary run, A - 1 in the isolated (1, A) case).
 Both computations agree; the tree reading is the one the package exports.
+
+One construction, :func:`is_embeddable`, completes a sequence to a longer
+quiddity sequence; :func:`extend_superbasic` is its case of super-basic blocks.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ def check_basic(entries) -> tuple:
         raise InvalidSequenceError(
             f"basic sequence must be (1, A1, ..., Ak) with k >= 1, got {seq}"
         )
-    for x in seq[1:]:
-        if x < 2:
-            raise InvalidSequenceError(f"basic entries after the 1 must be >= 2, got {x!r}")
+    if 1 in seq[1:]:  # the entries are positive ints
+        raise InvalidSequenceError("basic entries after the 1 must be >= 2, got 1")
     return seq
 
 
@@ -56,8 +58,8 @@ def fan(a: int, side: str = "left") -> tuple:
     left:  (A, 1, 2, ..., 2, 1) with A - 1 copies of 2;
     right: (1, 2, ..., 2, 1, A).  A = 1 degenerates to (1, 1, 1).
     """
-    if a < 1:
-        raise InvalidSequenceError(f"fan parameter must be >= 1, got {a}")
+    if type(a) is not int or a < 1:  # also refuses bool
+        raise InvalidSequenceError(f"fan parameter must be an int >= 1, got {a!r}")
     if side == "left":
         return (a, 1) + (2,) * (a - 1) + (1,)
     if side == "right":
@@ -71,9 +73,13 @@ def supplement(entries) -> tuple:
     Stack-of-depths form of the dual-tree reading described in the module
     docstring.  Involutive: supplement(supplement(a)) == a.
     """
-    seq = check_basic(entries)
+    return tuple(_supplement(check_basic(entries)[1:]))
+
+
+def _supplement(tail) -> list:
+    """The supplement of the basic sequence (1,) + tail, whose entries are all >= 2."""
     stack = [0]  # depths of nodes with a pending right slot; root after the leading 1
-    for c in seq[1:]:
+    for c in tail:
         base = stack.pop()
         stack.extend(range(base + 1, base + c))
     out = [1]
@@ -83,7 +89,7 @@ def supplement(entries) -> tuple:
         out.append(prev - nxt + 1)
         prev = nxt
     out.append(prev + 1)
-    return tuple(out)
+    return out
 
 
 def supplement_by_runs(entries) -> tuple:
@@ -120,29 +126,13 @@ def supplement_by_runs(entries) -> tuple:
 def extend_superbasic(seqs) -> tuple:
     """Complete a concatenation of super-basic blocks to a quiddity sequence.
 
-    Adjacent blocks are merged by decrementing the touching entries (last
-    of the left block, first after the 1 of the right block), the merged
-    basic sequence is supplemented, and the squeezed junctions are then
-    re-expanded by the ear-insertion move, which restores every block
-    verbatim while preserving validity.  The result starts with the blocks
-    in order and is a valid quiddity sequence.
+    The construction of :func:`is_embeddable`, which succeeds on every
+    concatenation of blocks: it has no adjacent 1s and no 1 flanked by 2s.
     """
     blocks = [check_superbasic(s) for s in seqs]
     if not blocks:
         raise InvalidSequenceError("need at least one super-basic sequence")
-    merged = list(blocks[0])
-    junctions = []
-    for block in blocks[1:]:
-        merged[-1] -= 1
-        junctions.append(len(merged) - 1)
-        merged.append(block[1] - 1)
-        merged.extend(block[2:])
-    completed = list(tuple(merged) + supplement(merged))
-    for pos in reversed(junctions):
-        completed[pos] += 1
-        completed[pos + 1] += 1
-        completed.insert(pos + 1, 1)
-    return tuple(completed)
+    return _embed(sum(blocks, ())).witness
 
 
 # Outcome of the embeddability decision.  ``embeddable`` is True or False;
@@ -167,21 +157,24 @@ def is_embeddable(entries) -> Embeddability:
     Replaying the contractions as expansions of that completion gives a
     witness starting with the query.
     """
-    seq = eta.as_sequence(entries, min_length=0)
-    if (1, 1) in zip(seq, seq[1:]):
-        return Embeddability(False, obstruction=_ADJACENT_ONES)
-    if (2, 1, 2) in zip(seq, seq[1:], seq[2:]):
-        return Embeddability(False, obstruction=(
-            "interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
-            "impossible in any quiddity sequence of length >= 4"))
+    return _embed(eta.as_sequence(entries, min_length=0))
 
+
+def _embed(seq: tuple) -> Embeddability:
+    """The construction of :func:`is_embeddable`, on a checked tuple."""
     rest, ears = [], []  # the segment with its 1s contracted; their positions
     for k, x in enumerate(seq):
         while rest and rest[-1] == 1:  # only the last entry of rest can be 1
-            if x == 1:
-                left = tuple(rest) + (x,) + seq[k + 1:]
-                return Embeddability(
-                    False, obstruction=f"contracting its 1s leaves {left}: {_ADJACENT_ONES}")
+            if x == 1:  # every query with (1, 1) or (2, 1, 2) ends up here
+                if (1, 1) in zip(seq, seq[1:]):
+                    text = _ADJACENT_ONES
+                elif (2, 1, 2) in zip(seq, seq[1:], seq[2:]):
+                    text = ("interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
+                            "impossible in any quiddity sequence of length >= 4")
+                else:
+                    left = tuple(rest) + (x,) + seq[k + 1:]
+                    text = f"contracting its 1s leaves {left}: {_ADJACENT_ONES}"
+                return Embeddability(False, obstruction=text)
             ears.append(len(rest) - 1)
             rest.pop()
             if rest:
@@ -194,8 +187,8 @@ def is_embeddable(entries) -> Embeddability:
         rest[-1] -= 1
     if rest in ([], [1]):
         witness = [1, 1, 1]
-    else:
-        witness = rest + list(supplement([1] + rest)) + [1]
+    else:  # no 1 is left in rest, so (1,) + rest is basic
+        witness = rest + _supplement(rest) + [1]
     for i in reversed(ears):  # eta.expand at the cyclic gap before position i
         witness[i - 1] += 1
         witness[i] += 1

@@ -13,6 +13,13 @@ from test_frieze import same_sum_sequences
 from test_sweeps import recursive_quiddities
 
 
+def make_triangulation(n, diagonals):
+    """A checked Triangulation from diagonals given in any order and orientation."""
+    t = polygons.Triangulation(n=n, diagonals=tuple(sorted(tuple(sorted(d)) for d in diagonals)))
+    polygons.validate_triangulation(t)
+    return t
+
+
 def test_from_quiddity_triangle():
     t = polygons.from_quiddity((1, 1, 1))
     assert t.n == 3 and t.diagonals == ()
@@ -29,12 +36,12 @@ def test_from_quiddity_rejects_invalid():
 
 
 def test_to_quiddity_square():
-    t = polygons.make_triangulation(4, [(0, 2)])
+    t = make_triangulation(4, [(0, 2)])
     assert canonical_form(polygons.to_quiddity(t)) == canonical_form((2, 1, 2, 1))
 
 
 def test_to_quiddity_hexagon_fan():
-    t = polygons.make_triangulation(6, [(0, 2), (0, 3), (0, 4)])
+    t = make_triangulation(6, [(0, 2), (0, 3), (0, 4)])
     assert canonical_form(polygons.to_quiddity(t)) == canonical_form((4, 1, 2, 2, 2, 1))
 
 
@@ -130,23 +137,23 @@ def test_the_walk_yields_at_3000():
 class TestValidation:
     def test_crossing(self):
         with pytest.raises(InvalidSequenceError):
-            polygons.make_triangulation(6, [(0, 2), (1, 3), (3, 5)])
+            make_triangulation(6, [(0, 2), (1, 3), (3, 5)])
 
     def test_wrong_count(self):
         with pytest.raises(InvalidSequenceError):
-            polygons.make_triangulation(5, [(1, 4)])
+            make_triangulation(5, [(1, 4)])
 
     def test_side_is_not_a_diagonal(self):
         with pytest.raises(InvalidSequenceError):
-            polygons.make_triangulation(4, [(0, 3)])
+            make_triangulation(4, [(0, 3)])
 
     def test_out_of_range(self):
         with pytest.raises(InvalidSequenceError):
-            polygons.make_triangulation(4, [(0, 7)])
+            make_triangulation(4, [(0, 7)])
 
     def test_duplicate(self):
         with pytest.raises(InvalidSequenceError):
-            polygons.make_triangulation(6, [(0, 2), (0, 2), (0, 4)])
+            make_triangulation(6, [(0, 2), (0, 2), (0, 4)])
 
 
 class TestDualTree:
@@ -164,7 +171,7 @@ class TestDualTree:
 
     def test_fan_is_left_comb(self):
         for n in range(4, 9):
-            t = polygons.make_triangulation(n, [(0, k) for k in range(2, n - 1)])
+            t = make_triangulation(n, [(0, k) for k in range(2, n - 1)])
             node = polygons.to_dual_tree(t).root
             depth = 0
             while not node.is_leaf:
@@ -377,7 +384,7 @@ def test_non_integer_sizes_and_vertices_are_refused(n, diagonals, value):
         with pytest.raises(InvalidSequenceError, match=re.escape(value)):
             call(t)
     with pytest.raises(InvalidSequenceError, match=re.escape(value)):
-        polygons.make_triangulation(n, diagonals)
+        make_triangulation(n, diagonals)
 
 
 @pytest.mark.parametrize("side", [(True, 0), (4, False), (0.0, 1), (4, 0.0)])

@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiddity import eta, polygons, similarity, supplements
+from quiddity.errors import InvalidSequenceError
 from quiddity.similarity import (
     ASYMMETRIC,
     PSEUDO_SYMMETRIC,
@@ -276,6 +278,24 @@ def test_one_message_outside_the_default_range(sweep, n):
     assert polygons.SWEEP_CAP == 14
     with pytest.raises(ValueError, match=cap_message(n, 14)):
         SWEEPS[sweep](n)
+
+
+# The counts and every sweep refuse an n that is not an int (bools included).
+N_CALLS = {**SWEEPS, "count_TSA": count_TSA, "perfect_tripartitions": perfect_tripartitions,
+           "count_types(formula)": count_types}
+
+
+@pytest.mark.parametrize("call", N_CALLS)
+@pytest.mark.parametrize("n", [5.0, None, True, "7"])
+def test_non_int_n_is_refused(call, n):
+    with pytest.raises(InvalidSequenceError, match=rf"^n must be an int, got {re.escape(repr(n))}$"):
+        N_CALLS[call](n)
+
+
+@pytest.mark.parametrize("call", ["count_TSA", "perfect_tripartitions", "count_types(formula)"])
+def test_one_message_below_3_without_a_sweep(call):
+    with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+        N_CALLS[call](2)
 
 
 @st.composite

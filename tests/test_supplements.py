@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 
@@ -14,6 +15,36 @@ def all_basic(max_entry, max_len):
     for k in range(1, max_len):
         for tail in itertools.product(range(2, max_entry + 1), repeat=k):
             yield (1,) + tail
+
+
+def all_superbasic(max_entry, max_len):
+    """Every super-basic block with entries <= max_entry and length <= max_len."""
+    return [a for a in all_basic(max_entry, max_len) if len(a) >= 3 and a[1] > 2 and a[-1] > 2]
+
+
+def extend_by_junctions(blocks):
+    """Completion of super-basic blocks by merging their junctions; oracle for extend_superbasic.
+
+    Adjacent blocks are merged by decrementing the touching entries (last of
+    the left block, first after the 1 of the right block), the merged basic
+    sequence is supplemented, and each squeezed junction is re-expanded by
+    the ear-insertion move, which restores every block verbatim.  The
+    package's construction instead contracts every 1, the first block's
+    included, and supplements what is left.
+    """
+    merged = list(blocks[0])
+    junctions = []
+    for block in blocks[1:]:
+        merged[-1] -= 1
+        junctions.append(len(merged) - 1)
+        merged.append(block[1] - 1)
+        merged.extend(block[2:])
+    completed = list(tuple(merged) + supplements.supplement(merged))
+    for pos in reversed(junctions):
+        completed[pos] += 1
+        completed[pos + 1] += 1
+        completed.insert(pos + 1, 1)
+    return tuple(completed)
 
 
 def bounded_completion(seq, max_length):
@@ -68,6 +99,11 @@ class TestFan:
         with pytest.raises(InvalidSequenceError):
             supplements.fan(3, "up")
 
+    @pytest.mark.parametrize("bad", [True, 2.5, None])
+    def test_non_int_refused(self, bad):
+        with pytest.raises(InvalidSequenceError, match=f"must be an int >= 1, got {bad!r}$"):
+            supplements.fan(bad)
+
 
 class TestSupplement:
     @pytest.mark.parametrize(
@@ -120,7 +156,7 @@ class TestSupplement:
 
 class TestExtendSuperbasic:
     def test_single_block(self):
-        # one block has no junction, so the merge loop leaves it as it is
+        # the block's only 1, its first entry, is contracted and expanded back: a + supplement(a)
         for a in [(1, 3, 3), (1, 4, 3), (1, 3, 2, 2, 5), (1, 6, 2, 4, 3), (1, 9, 9)]:
             out = supplements.extend_superbasic([a])
             assert out == a + supplements.supplement(a)
@@ -149,6 +185,14 @@ class TestExtendSuperbasic:
             flat = sum(blocks, ())
             assert out[: len(flat)] == flat
             assert eta.is_eta(out)
+
+    def test_equals_the_junction_merge_on_one_or_two_small_blocks(self):
+        blocks = all_superbasic(5, 5)
+        assert len(blocks) == 189
+        lists = [[a] for a in blocks] + [list(p) for p in itertools.product(blocks, repeat=2)]
+        assert len(lists) == 35910
+        for bl in lists:
+            assert supplements.extend_superbasic(bl) == extend_by_junctions(bl), bl
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(InvalidSequenceError):
@@ -215,6 +259,31 @@ class TestEmbeddability:
                     assert_witness(s, res.witness)
                 else:
                     assert res.embeddable is False and res.obstruction, s
+
+    def test_obstruction_text_exhaustive(self):
+        """The exact certificate of every no with entries 1..4 and length <= 7."""
+        adjacent = "adjacent 1s cannot occur in a quiddity sequence of length >= 4"
+        flanked = ("interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
+                   "impossible in any quiddity sequence of length >= 4")
+        head, tail = "contracting its 1s leaves ", f": {adjacent}"
+        contracted = 0
+        for length in range(8):
+            for s in itertools.product(range(1, 5), repeat=length):
+                res = supplements.is_embeddable(s)
+                if (1, 1) in zip(s, s[1:]):
+                    assert res == (False, None, adjacent), s
+                elif (2, 1, 2) in zip(s, s[1:], s[2:]):
+                    assert res == (False, None, flanked), s
+                elif not res.embeddable:
+                    assert res.witness is None, s
+                    assert res.obstruction.startswith(head) and res.obstruction.endswith(tail), s
+                    left = ast.literal_eval(res.obstruction[len(head):-len(tail)])
+                    # each contraction removes a 1 and lowers its one or two neighbours in s
+                    removed = len(s) - len(left)
+                    assert removed >= 1 and 2 * removed <= sum(s) - sum(left) <= 3 * removed, s
+                    assert (1, 1) in zip(left, left[1:]), s
+                    contracted += 1
+        assert contracted > 0
 
     def test_no_is_confirmed_by_bounded_search(self):
         noes = 0

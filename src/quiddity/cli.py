@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code if type(exc.code) is int else EXIT_USAGE
     try:
         payload, renderers, *code = args.func(args)
         text = _dumps(payload) if args.format == "json" else renderers[args.format]()

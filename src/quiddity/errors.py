@@ -4,11 +4,22 @@ The CLI maps these onto exit codes: structurally bad input (wrong length,
 nonpositive entries, unparseable tokens) is a usage error, while
 mathematically meaningful failures (a sequence that is not a quiddity
 sequence, a window that is not a positive tiling) are domain errors.
+
+A scalar argument that must be an int is checked by ``_check_int``, one
+rule for every module: exactly ``int``, so bools and other int subclasses
+are refused like floats, strings and None.  The name in the message is
+formatted only on refusal, so a check in a loop costs one call.
 """
 
 
 class InvalidSequenceError(ValueError):
     """Input fails a structural precondition (length, positivity, shape)."""
+
+
+def _check_int(value, what: str, *where) -> None:
+    """Refuse a value that is not exactly an int, naming it ``what.format(*where)``."""
+    if type(value) is not int:
+        raise InvalidSequenceError(f"{what.format(*where)} must be an int, got {value!r}")
 
 
 class NotQuiddityError(ValueError):

@@ -14,14 +14,14 @@ cutting an ear, is the one linear ear clipper ``_clip_ears``: it decides
 membership without matrices and yields the triangulation's diagonals.
 
 Sequences are plain tuples of ints everywhere; every public function
-validates shape (length >= 3, entries >= 1) and raises
+validates shape (length >= 3, int entries >= 1) and raises
 InvalidSequenceError otherwise.
 """
 
 from __future__ import annotations
 
 from . import sl2
-from .errors import ContractionError, InvalidSequenceError
+from .errors import ContractionError, InvalidSequenceError, _check_int
 
 
 def as_sequence(entries, min_length: int = 3) -> tuple:
@@ -30,7 +30,7 @@ def as_sequence(entries, min_length: int = 3) -> tuple:
     if len(seq) < min_length:
         raise InvalidSequenceError(f"need at least {min_length} entries, got {len(seq)}")
     for x in seq:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        if type(x) is not int or x < 1:
             raise InvalidSequenceError(f"entries must be positive integers, got {x!r}")
     return seq
 
@@ -98,6 +98,7 @@ def _clip_ears(seq: tuple):
 def rotate(entries, k: int = 1) -> tuple:
     """Cyclic shift: (c_k, c_{k+1}, ..., c_{k-1})."""
     seq = as_sequence(entries)
+    _check_int(k, "shift")
     k %= len(seq)
     return seq[k:] + seq[:k]
 
@@ -117,6 +118,7 @@ def expand(entries, i: int) -> tuple:
     """
     seq = list(as_sequence(entries))
     n = len(seq)
+    _check_int(i, "position")
     if not 0 <= i < n:
         raise InvalidSequenceError(f"position {i} out of range for length {n}")
     seq[i] += 1
@@ -133,6 +135,7 @@ def contract(entries, i: int) -> tuple:
     """
     seq = list(as_sequence(entries))
     n = len(seq)
+    _check_int(i, "position")
     if not 0 <= i < n:
         raise InvalidSequenceError(f"position {i} out of range for length {n}")
     if n == 3:

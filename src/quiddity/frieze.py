@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import eta, sl2
-from .errors import InvalidSequenceError, NotQuiddityError
+from .errors import InvalidSequenceError, NotQuiddityError, _check_int
 
 
 class FriezeWindow(namedtuple("FriezeWindow", "n rows")):
@@ -138,8 +138,10 @@ def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
     Returns rows 0..depth as tuples of Mat2, each of the period of row1, of
     the matrix diamond rule in the collapsed form of generate_matrix_frieze:
     the n factors M_k * X^-1 first, then one product per cell on
-    (a, b, c, d) tuples.  A negative depth raises InvalidSequenceError.
+    (a, b, c, d) tuples.  A depth that is not an int >= 0 raises
+    InvalidSequenceError.
     """
+    _check_int(depth, "matrix frieze depth")
     if depth < 0:
         raise InvalidSequenceError(f"matrix frieze depth must be at least 0, got {depth}")
     row1 = tuple(row1)

@@ -45,7 +45,7 @@ import itertools
 from collections import namedtuple
 
 from . import eta
-from .errors import InvalidSequenceError, NotQuiddityError
+from .errors import InvalidSequenceError, NotQuiddityError, _check_int
 
 
 class Triangulation(namedtuple("Triangulation", "n diagonals")):
@@ -60,8 +60,7 @@ class Triangulation(namedtuple("Triangulation", "n diagonals")):
 def _check_diagonals(t: Triangulation) -> None:
     """Check the shapes, int types, ranges, non-adjacency, distinctness and the n-3 count."""
     n = t.n
-    if type(n) is not int:  # also refuses bool
-        raise InvalidSequenceError(f"polygon size must be an int, got {n!r}")
+    _check_int(n, "polygon size")
     if n < 3:
         raise InvalidSequenceError(f"polygon needs at least 3 vertices, got {n}")
     if not isinstance(t.diagonals, (tuple, list)):
@@ -152,14 +151,15 @@ SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
 def check_sweep(n: int, cap: int = None) -> None:
     """Refuse an exhaustive sweep at n unless 3 <= n <= cap (default SWEEP_CAP)."""
     limit = SWEEP_CAP if cap is None else cap
-    if type(n) is not int:  # also refuses bool
-        raise InvalidSequenceError(f"n must be an int, got {n!r}")
+    _check_int(n, "n")
+    _check_int(limit, "cap")
     if not 3 <= n <= limit:
         raise ValueError(f"n={n} outside 3..{limit} (raise the cap with cap= or --cap)")
 
 
 def enumerate_triangulations(n: int, cap: int = None):
     """Yield every triangulation of the n-gon exactly once, in the order of iter_quiddities."""
+    check_sweep(n, cap)
     return map(from_quiddity, iter_quiddities(n, cap))
 
 
@@ -176,7 +176,8 @@ def iter_quiddities(n: int, cap: int = None):
     cons-lists ``(arc, tail)`` of the arcs that still follow in preorder.
     The vertex counts are updated in place and the state is O(n), which
     makes exhaustive sweeps over hundreds of thousands of triangulations
-    practical.
+    practical.  Being a generator, it checks n and cap (``check_sweep``)
+    only when the first item is asked for.
     """
     check_sweep(n, cap)
     counts = [0] * n

@@ -49,7 +49,7 @@ import math
 from collections import namedtuple
 
 from . import eta, polygons
-from .errors import InvalidSequenceError
+from .errors import _check_int
 
 DEGENERATE = (0, 0)
 
@@ -163,8 +163,7 @@ def count_TSA(n: int):
 
 def _check_n(n) -> None:
     """Refuse an n that is not an int (bools included) or is below 3."""
-    if type(n) is not int:
-        raise InvalidSequenceError(f"n must be an int, got {n!r}")
+    _check_int(n, "n")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
 
@@ -216,23 +215,28 @@ def perfect_tripartitions(n: int):
 
 
 def case_count(tp: TriPartition) -> int:
-    """Number of similarity types whose central structure has these arcs."""
+    """Number of similarity types whose central structure has these arcs.
+
+    B, D and E have two equal arcs, the pair, and count by Burnside's lemma
+    the orbits of the reflection that swaps those arms: (t_odd*t_pair^2 +
+    s_odd*t_pair) / 2.  B is D with a 2-gon arm (T = S = 1), and E is D
+    with the roles of the arms swapped, so ROADMAP.md's stabilizer rules
+    for B, D and E are one rule too: t_pair*s_odd types have |Stab| = 2.
+    """
     ti, si, ai = _tsa(tp.i + 1)
-    tj, sj, aj = _tsa(tp.j + 1)
     if tp.case == "A":
         # Z2 x Z2 (swap the halves, reflect both) acting on ordered pairs
         return ai * (ai + 1) + ai * si + si * (si + 1) // 2
-    tk, sk, ak = _tsa(tp.k + 1)
-    if tp.case == "B":
-        return ti * (ti + 1) // 2
+    if tp.case == "F":
+        # dihedral D3 permutes the three equal arms
+        return ti * (ti + 1) * (ti + 2) // 6 - ti * ai
+    tj = _tsa(tp.j + 1)[0]
+    tk, sk, _ = _tsa(tp.k + 1)
     if tp.case == "C":
         return ti * tj * tk
-    if tp.case == "D":
-        return (ti * ti * tk + ti * sk) // 2
-    if tp.case == "E":
-        return (ti * tk * tk + si * tk) // 2
-    # F: dihedral D3 permutes the three equal arms
-    return ti * (ti + 1) * (ti + 2) // 6 - ti * ai
+    # B, D, E: arc j is in the pair, i = j (B, D) or j = k (E)
+    t_odd, s_odd = (tk, sk) if tp.i == tp.j else (ti, si)
+    return (t_odd * tj * tj + s_odd * tj) // 2
 
 
 def compose(a, b, c=None) -> tuple:
@@ -251,7 +255,8 @@ def compose(a, b, c=None) -> tuple:
         b = eta.as_sequence(b)
         u, v = len(a) - 1, len(b) - 1
         return (a[0] + b[v],) + a[1:u] + (a[u] + b[0],) + b[1:v]
-    a, b, c = [x if x == DEGENERATE else eta.as_sequence(x) for x in map(tuple, (a, b, c))]
+    a, b, c = [x if x == DEGENERATE and type(x[0]) is type(x[1]) is int else eta.as_sequence(x)
+               for x in map(tuple, (a, b, c))]
     u, v, w = len(a) - 1, len(b) - 1, len(c) - 1
     return (
         (a[0] + c[w] + 1,)

@@ -134,12 +134,6 @@ def mul(m, n) -> tuple:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _times_u(m, x: int) -> tuple:
-    """m * U^x on tuples."""
-    a, b, c, d = m
-    return a + b * x, b, c + d * x, d
-
-
 class SUWord(namedtuple("SUWord", "factors prefix_s trailing_s", defaults=(False, True))):
     """A word S^b0 * U^a1*S * U^a2*S * ... * U^an * S^b1.
 
@@ -169,7 +163,7 @@ def eval_word(word: SUWord) -> Mat2:
     if word.trailing_s:
         return Mat2(*word_product(factors or (0,), m))  # U^0*S == S
     if factors:
-        m = _times_u(word_product(factors[:-1], m), factors[-1])
+        m = mul(word_product(factors[:-1], m), (1, 0, factors[-1], 1))  # * U^x
     return Mat2(*m)
 
 
@@ -195,7 +189,7 @@ def eval_tokens(text: str) -> Mat2:
                 raise ValueError(f"bad word token: {tok!r}") from None
         else:
             raise ValueError(f"bad word token: {tok!r}")
-    return Mat2(*_times_u(word_product(exponents), x))
+    return Mat2(*mul(word_product(exponents), (1, 0, x, 1)))  # * U^x
 
 
 _TORSION_ORDER = {-1: 3, 0: 4, 1: 6}

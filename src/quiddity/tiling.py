@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError
+from .errors import InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError, _check_int
 
 
 class TilingWindow(namedtuple("TilingWindow", "i0 i1 j0 j1 values")):
@@ -82,9 +82,15 @@ def formula_tiling(i: int, j: int) -> int:
 
 
 def formula_window(i0: int, i1: int, j0: int, j1: int) -> TilingWindow:
+    _check_bounds(i0, i1, j0, j1)
     return window_from_values(
         i0, j0, [[formula_tiling(i, j) for j in range(j0, j1 + 1)] for i in range(i0, i1 + 1)]
     )
+
+
+def _check_bounds(*bounds) -> None:
+    for name, x in zip(("i0", "i1", "j0", "j1"), bounds):
+        _check_int(x, name)
 
 
 def extract_factors(window: TilingWindow) -> FactorVectors:
@@ -147,18 +153,19 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
     factors, then whole rows vertically with the row factors; the module
     docstring shows why the result needs no check.  ``k`` must hold every
     interior column j0+1..j1-1 and ``l`` every interior row i0+1..i1-1,
-    and these factors and the seed entries must be ints (not bools); a
-    missing index or another type raises InvalidSequenceError naming it.
+    and these factors, the seed entries and the window bounds must be
+    ints (not bools); a missing index or another type raises
+    InvalidSequenceError naming it.
     A seed of determinant other than 1 or outside the window raises
     InconsistentFactorsError.  Nonpositive values are allowed and simply
     reported by the window's ``is_positive``.
     """
     (s00, s01), (s10, s11) = seed
     for (r, c), x in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (s00, s01, s10, s11)):
-        if type(x) is not int:
-            raise InvalidSequenceError(f"seed entry ({r},{c}) must be an int, got {x!r}")
+        _check_int(x, "seed entry ({},{})", r, c)
     if s00 * s11 - s01 * s10 != 1:
         raise InconsistentFactorsError("seed 2x2 block must have determinant 1")
+    _check_bounds(i0, i1, j0, j1)
     if not (i0 <= 0 and 1 <= i1 and j0 <= 0 and 1 <= j1):
         raise InconsistentFactorsError("window must contain the seed cells (0..1, 0..1)")
     for what, factors, x, lo, hi in (("column factor k", k, "j", j0, j1),
@@ -170,8 +177,7 @@ def generate_tiling(seed, k: dict, l: dict, i0: int, i1: int, j0: int, j1: int) 
                 f" (the window needs {x} = {lo + 1}..{hi - 1})"
             )
         for idx in range(lo + 1, hi):
-            if type(factors[idx]) is not int:
-                raise InvalidSequenceError(f"{what}[{idx}] must be an int, got {factors[idx]!r}")
+            _check_int(factors[idx], "{}[{}]", what, idx)
 
     # columns j0..j1 of rows 0 and 1, then every row, as whole vectors
     row0, row1 = zip(*_propagate((s00, s10), (s01, s11), k, j0, j1))

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from quiddity import polygons
+
+# Shared machines stall for long stretches; a deadline would time the machine.
+# Loaded before any test module is imported, so every @settings inherits it.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 _acceptance_results = {}
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from quiddity import eta
 from quiddity.cli import main
+from strategies import quiddities
 
-# Shared machines stall for long stretches; a deadline would time the machine.
-relaxed = settings(deadline=None, max_examples=60)
+few_examples = settings(max_examples=60)
 
 
 def run(*argv):
@@ -45,20 +45,16 @@ def flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-@st.composite
-def quiddities(draw):
-    """A valid sequence of length 3..14: expansions of (1, 1, 1), then a rotation."""
-    seq = (1, 1, 1)
-    for _ in range(draw(st.integers(0, 11))):
-        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
-    return eta.rotate(seq, draw(st.integers(0, len(seq) - 1)))
+# valid sequences of length 3..14, turned so that any entry may come first
+rotated_quiddities = st.tuples(quiddities(max_n=14), st.integers(0, 13)).map(
+    lambda drawn: eta.rotate(*drawn))
 
 
 positive_sequences = st.lists(st.integers(1, 6), min_size=3, max_size=12).map(tuple)
 
 
-@relaxed
-@given(st.one_of(quiddities(), positive_sequences))
+@few_examples
+@given(st.one_of(rotated_quiddities, positive_sequences))
 def test_verify(seq):
     code, lines, payload = both_formats("verify", eta.format_sequence(seq))
     shown = fields(lines)
@@ -74,7 +70,7 @@ def test_verify(seq):
     assert shown == {}
 
 
-@relaxed
+@few_examples
 @given(st.lists(st.integers(2, 7), min_size=1, max_size=8).map(lambda rest: (1, *rest)))
 def test_supplement(seq):
     code, lines, payload = both_formats("supplement", eta.format_sequence(seq))
@@ -88,7 +84,7 @@ superbasic = st.tuples(st.integers(3, 7), st.lists(st.integers(2, 7), max_size=4
                        st.integers(3, 7)).map(lambda p: (1, p[0], *p[1], p[2]))
 
 
-@relaxed
+@few_examples
 @given(st.lists(superbasic, min_size=1, max_size=3))
 def test_extend(blocks):
     argv = ["extend"]
@@ -105,7 +101,7 @@ def test_extend(blocks):
 tokens = st.one_of(st.just("S"), st.just("U"), st.integers(-9, 9).map(lambda k: f"U^{k}"))
 
 
-@relaxed
+@few_examples
 @given(st.lists(tokens, min_size=1, max_size=12).map("*".join))
 def test_reduce(word):
     code, lines, payload = both_formats("reduce", word)
@@ -118,7 +114,7 @@ def test_reduce(word):
     assert shown["normal_form"] == payload["normal_form"]
 
 
-@relaxed
+@few_examples
 @given(st.one_of(st.tuples(st.integers(3, 60), st.just("formula")),
                  st.tuples(st.integers(3, 9), st.just("brute"))))
 def test_count(case):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -38,6 +39,29 @@ def test_is_eta_rejects_malformed():
         eta.is_eta((1, 0, 1))
     with pytest.raises(InvalidSequenceError):
         eta.is_eta((1, -2, 1, 4))
+
+
+class IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize("entry", [True, IntSubclass(1), 1.0])
+def test_entries_must_be_exact_ints(entry):
+    with pytest.raises(InvalidSequenceError, match="^entries must be positive integers"):
+        eta.as_sequence((1, entry, 1))
+
+
+@pytest.mark.parametrize("call, seq, arg, what", [
+    (eta.expand, (1, 1, 1), 1.0, "position"),
+    (eta.expand, (1, 1, 1), True, "position"),
+    (eta.contract, (2, 1, 2, 1), 1.0, "position"),
+    (eta.contract, (2, 1, 2, 1), True, "position"),
+    (eta.rotate, (2, 1, 2, 1), 1.5, "shift"),
+    (eta.rotate, (2, 1, 2, 1), None, "shift"),
+])
+def test_positions_and_shifts_must_be_ints(call, seq, arg, what):
+    with pytest.raises(InvalidSequenceError, match=rf"^{what} must be an int, got {re.escape(repr(arg))}$"):
+        call(seq, arg)
 
 
 def test_rotate():

@@ -1,14 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddity import eta, frieze, sl2
 from quiddity.errors import InvalidSequenceError, NotQuiddityError
-
-# Shared machines stall for long stretches; a deadline would time the machine.
-relaxed = settings(deadline=None)
+from strategies import quiddities, same_sum_sequences
 
 PATTERN_I = (4, 2, 1, 3, 2, 2, 1)
 
@@ -202,6 +200,14 @@ def test_matrix_frieze_rows_stop_at_the_depth():
             frieze.generate_matrix_frieze_rows(-sl2.S, row1, depth)
 
 
+@pytest.mark.parametrize("depth", [2.5, True, None])
+def test_matrix_frieze_depth_must_be_an_int(depth):
+    row1 = [sl2.u_pow(a) for a in (1, 2, 2, 1, 3)]
+    with pytest.raises(InvalidSequenceError,
+                       match=rf"^matrix frieze depth must be an int, got {depth!r}$"):
+        frieze.generate_matrix_frieze_rows(-sl2.S, row1, depth)
+
+
 def word_cell(seq, i, j):
     """Reference: U^{a_{i+j-1}}*S*...*S*U^{a_j} as one word product."""
     n = len(seq)
@@ -272,39 +278,17 @@ def outcome(make, seq):
 positive_sequences = st.lists(st.integers(1, 6), min_size=3, max_size=16)
 
 
-@st.composite
-def same_sum_sequences(draw):
-    """Positive sequences with the quiddity sum 3n - 6, mostly invalid."""
-    n = draw(st.integers(3, 18))
-    seq = [1] * n
-    for p in draw(st.lists(st.integers(0, n - 1), min_size=2 * n - 6, max_size=2 * n - 6)):
-        seq[p] += 1
-    return seq
-
-
-@st.composite
-def quiddities(draw, expansions=20):
-    """A quiddity sequence grown from (1, 1, 1) by up to ``expansions`` expansions."""
-    seq = (1, 1, 1)
-    for _ in range(draw(st.integers(0, expansions))):
-        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
-    return seq
-
-
-@relaxed
-@given(st.one_of(positive_sequences, same_sum_sequences(), quiddities()))
+@given(st.one_of(positive_sequences, same_sum_sequences(max_n=18), quiddities(max_n=23)))
 def test_generate_frieze_matches_dividing_rule(seq):
     assert outcome(frieze.generate_frieze, seq) == outcome(dividing_frieze, seq)
 
 
-@relaxed
-@given(quiddities(expansions=37))
+@given(quiddities(max_n=40))
 def test_matrix_frieze_cells_are_words_up_to_40(seq):
     assert_cells_are_words(seq)
 
 
-@relaxed
-@given(quiddities(), st.integers(2, 4))
+@given(quiddities(max_n=23), st.integers(2, 4))
 def test_short_period_imposters_match_dividing_rule(q, k):
     # q repeated k times keeps the sum per period but is never a quiddity
     seq = q * k
@@ -326,8 +310,7 @@ def test_one_two_imposters_match_dividing_rule(k):
     assert outcome(frieze.generate_frieze, seq) == outcome(dividing_frieze, seq)
 
 
-@relaxed
-@given(st.one_of(positive_sequences, same_sum_sequences(), quiddities()))
+@given(st.one_of(positive_sequences, same_sum_sequences(max_n=18), quiddities(max_n=23)))
 def test_every_cell_is_the_continuant_of_its_window(seq):
     try:
         w = frieze.generate_frieze(seq)

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from quiddity import eta, frieze, sl2
 from quiddity.errors import NotUnimodularError
 from quiddity.sl2 import I, S, Mat2
-
-# Shared machines stall for long stretches; a deadline would time the machine.
-relaxed = settings(deadline=None)
+from strategies import quiddities, same_sum_sequences
 
 exponent_lists = st.lists(st.integers(-50, 50), max_size=60)
 tokens = st.one_of(st.just("S"), st.just("U"), st.integers(-9, 9).map(lambda k: f"U^{k}"))
@@ -30,53 +28,29 @@ def matrices(draw):
     return fold(draw(st.lists(st.integers(-6, 6), max_size=12)))
 
 
-@st.composite
-def quiddities(draw):
-    """A quiddity sequence grown from (1, 1, 1) by random expansions."""
-    seq = (1, 1, 1)
-    for _ in range(draw(st.integers(0, 25))):
-        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
-    return seq
-
-
-@st.composite
-def same_sum_sequences(draw):
-    """Positive sequences of length n with the quiddity sum 3n - 6."""
-    n = draw(st.integers(3, 20))
-    total = 3 * n - 6
-    cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=n - 1,
-                                max_size=n - 1, unique=True)))
-    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
-
-
-@relaxed
 @given(exponent_lists, matrices())
 def test_word_product_equals_mat2_fold(exponents, start):
     assert sl2.word_product(exponents) == fold(exponents).entries()
     assert sl2.word_product(exponents, start.entries()) == fold(exponents, start).entries()
 
 
-@relaxed
 @given(matrices(), matrices())
 def test_mul_equals_mat2_product(m, n):
     assert sl2.mul(m.entries(), n.entries()) == (m @ n).entries()
 
 
-@relaxed
-@given(st.one_of(quiddities(), same_sum_sequences(),
+@given(st.one_of(quiddities(max_n=28), same_sum_sequences(max_n=20),
                  st.lists(st.integers(1, 8), min_size=3, max_size=16)))
 def test_is_eta_agrees_with_contraction(seq):
     assert eta.is_eta(seq) == eta.is_eta_by_contraction(seq)
 
 
-@relaxed
-@given(quiddities())
+@given(quiddities(max_n=28))
 def test_grown_sequences_are_quiddities(seq):
     assert eta.is_eta(seq)
     assert eta.word_matrix(seq) == -I
 
 
-@relaxed
 @given(st.lists(tokens, min_size=1, max_size=40))
 def test_eval_tokens_equals_mat2_fold(toks):
     expected = I
@@ -85,7 +59,6 @@ def test_eval_tokens_equals_mat2_fold(toks):
     assert sl2.eval_tokens("*".join(toks)) == expected
 
 
-@relaxed
 @given(exponent_lists, st.booleans(), st.booleans())
 def test_eval_word_equals_mat2_fold(exponents, prefix_s, trailing_s):
     word = sl2.SUWord(factors=tuple(exponents), prefix_s=prefix_s, trailing_s=trailing_s)
@@ -99,7 +72,6 @@ def test_eval_word_equals_mat2_fold(exponents, prefix_s, trailing_s):
     assert sl2.eval_word(word) == expected
 
 
-@relaxed
 @given(matrices())
 def test_element_order_equals_power_search(m):
     p, order = m, None
@@ -113,7 +85,6 @@ def test_element_order_equals_power_search(m):
 
 # long L and U runs; the form of U^x*S has at most 2|x| + 1 letters, so
 # four such factors stay under NORMAL_FORM_LETTER_CAP
-@relaxed
 @given(st.one_of(matrices(), st.lists(st.integers(-10**4, 10**4), max_size=4).map(fold)))
 def test_normal_form_round_trip(m):
     # by uniqueness of the alternating form, this shape and the round trip determine it
@@ -123,8 +94,8 @@ def test_normal_form_round_trip(m):
     assert set(form.exponents) <= {1, 2}
 
 
-@settings(max_examples=30, deadline=None)
-@given(quiddities())
+@settings(max_examples=30)
+@given(quiddities(max_n=28))
 def test_matrix_frieze_cells_are_mat2(seq):
     window = frieze.generate_matrix_frieze(seq)
     n = len(seq)

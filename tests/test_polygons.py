@@ -3,13 +3,13 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddity import eta, polygons
 from quiddity.errors import InvalidSequenceError, NotQuiddityError
 from quiddity.similarity import canonical_form, catalan
-from test_frieze import same_sum_sequences
+from strategies import quiddities, same_sum_sequences
 from test_sweeps import recursive_quiddities
 
 
@@ -229,19 +229,6 @@ def test_json_dict():
     assert t.to_json_dict() == {"n": 5, "diagonals": [[1, 4], [2, 4]]}
 
 
-# Shared machines stall for long stretches; a deadline would time the machine.
-relaxed = settings(deadline=None)
-
-
-@st.composite
-def quiddities(draw, max_n):
-    """A quiddity sequence grown from (1, 1, 1) by random expansions."""
-    seq = (1, 1, 1)
-    for _ in range(draw(st.integers(0, max_n - 3))):
-        seq = eta.expand(seq, draw(st.integers(0, len(seq) - 1)))
-    return seq
-
-
 def pairwise_crossing_message(diagonals):
     """Reference: the first crossing pair (i < j) in the given order, or None."""
     for i in range(len(diagonals)):
@@ -274,7 +261,6 @@ def diagonal_sets(draw):
     return n, tuple(chosen)
 
 
-@relaxed
 @given(diagonal_sets(), st.booleans())
 def test_crossing_message_matches_pairwise_scan(case, ordered):
     n, diagonals = case
@@ -284,15 +270,13 @@ def test_crossing_message_matches_pairwise_scan(case, ordered):
     assert validation_message(t) == pairwise_crossing_message(diagonals)
 
 
-@relaxed
-@given(quiddities(40), st.randoms(use_true_random=False))
+@given(quiddities(max_n=40), st.randoms(use_true_random=False))
 def test_shuffled_triangulations_validate(q, rnd):
     diagonals = list(polygons.from_quiddity(q).diagonals)
     rnd.shuffle(diagonals)
     assert validation_message(polygons.Triangulation(n=len(q), diagonals=tuple(diagonals))) is None
 
 
-@relaxed
 @given(diagonal_sets(), st.booleans())
 def test_every_reader_names_the_first_crossing(case, ordered):
     # the pass finds crossings in relabelled vertices; the message names the given pair
@@ -334,16 +318,14 @@ def first_apex_triangles(t):
     return out
 
 
-@relaxed
-@given(quiddities(200))
+@given(quiddities(max_n=200))
 def test_round_trip_up_to_200_gon(q):
     t = polygons.from_quiddity(q)
     assert polygons.to_quiddity(t) == q
     assert polygons.triangles(t) == first_apex_triangles(t)
 
 
-@relaxed
-@given(quiddities(40))
+@given(quiddities(max_n=40))
 def test_tree_readout_on_every_root_side(q):
     n = len(q)
     t = polygons.from_quiddity(q)
@@ -360,8 +342,7 @@ def reference_counts(t):
     return tuple(counts)
 
 
-@relaxed
-@given(quiddities(60), st.randoms(use_true_random=False))
+@given(quiddities(max_n=60), st.randoms(use_true_random=False))
 def test_to_quiddity_counts_the_reference_triangles(q, rnd):
     diagonals = list(polygons.from_quiddity(q).diagonals)
     rnd.shuffle(diagonals)
@@ -385,6 +366,13 @@ def test_non_integer_sizes_and_vertices_are_refused(n, diagonals, value):
             call(t)
     with pytest.raises(InvalidSequenceError, match=re.escape(value)):
         make_triangulation(n, diagonals)
+
+
+@pytest.mark.parametrize("n", [4.0, True])
+def test_polygon_size_message(n):
+    t = polygons.Triangulation(n=n, diagonals=())
+    with pytest.raises(InvalidSequenceError, match=rf"^polygon size must be an int, got {n!r}$"):
+        polygons.validate_triangulation(t)
 
 
 @pytest.mark.parametrize("side", [(True, 0), (4, False), (0.0, 1), (4, 0.0)])
@@ -505,8 +493,7 @@ def recursive_branches(node):
     return 1 + recursive_branches(node.left) + recursive_branches(node.right)
 
 
-@relaxed
-@given(quiddities(40))
+@given(quiddities(max_n=40))
 def test_tree_walks_match_the_recursive_walks(q):
     n = len(q)
     t = polygons.from_quiddity(q)
@@ -519,9 +506,8 @@ def test_tree_walks_match_the_recursive_walks(q):
         assert polygons.tree_to_dot(tree) == recursive_dot(tree)
 
 
-@relaxed
 @given(st.one_of(st.lists(st.integers(1, 6), min_size=3, max_size=16),
-                 same_sum_sequences(), quiddities(40)))
+                 same_sum_sequences(max_n=18), quiddities(max_n=40)))
 def test_from_quiddity_refuses_exactly_the_non_quiddities(seq):
     try:
         t = polygons.from_quiddity(seq)
@@ -584,7 +570,6 @@ def test_dual_tree_matches_apex_map_exhaustive(quiddities_by_n):
     assert trees == 19631
 
 
-@relaxed
-@given(quiddities(60))
+@given(quiddities(max_n=60))
 def test_dual_tree_matches_apex_map_up_to_60_gon(q):
     assert_trees_match_apex_map(q)

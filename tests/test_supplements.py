@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quiddity import eta, supplements
 from quiddity.errors import InvalidSequenceError
+from strategies import quiddities
 
 
 def all_basic(max_entry, max_len):
@@ -67,16 +68,6 @@ def assert_witness(query, witness):
     assert witness[: len(query)] == query
     assert len(witness) >= len(query) + 2
     assert eta.is_eta(witness)
-
-
-@st.composite
-def quiddities(draw, max_n=200):
-    """A quiddity sequence of length 4..max_n grown by random expansions."""
-    seq = (1, 1, 1)
-    n = draw(st.integers(4, max_n))
-    for p in draw(st.lists(st.integers(0, max_n), min_size=n - 3, max_size=n - 3)):
-        seq = eta.expand(seq, p % len(seq))
-    return seq
 
 
 class TestFan:
@@ -139,7 +130,7 @@ class TestSupplement:
         for a in all_basic(5, 7):
             assert supplements.supplement(a) == supplements.supplement_by_runs(a)
 
-    @settings(deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(st.lists(st.integers(2, 40), min_size=1, max_size=30))
     def test_two_computations_agree_random(self, rest):
         a = (1, *rest)
@@ -298,8 +289,8 @@ class TestEmbeddability:
         for s in [(2, 2, 1), (1, 3, 3), (3, 1, 4), (3,)]:
             assert_witness(s, bounded_completion(s, len(s) + 4))
 
-    @settings(deadline=None, max_examples=50)
-    @given(quiddities(), st.integers(0, 199), st.integers(0, 199))
+    @settings(max_examples=50)
+    @given(quiddities(max_n=200, min_n=4), st.integers(0, 199), st.integers(0, 199))
     def test_long_segments(self, q, r, p):
         query = eta.rotate(q, r)[:-2]
         res = supplements.is_embeddable(query)

@@ -14,15 +14,11 @@ recursion; test_polygons.py checks the odometer's order against it.
 
 import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddity import eta, polygons, similarity, supplements
 from quiddity.similarity import canonical_form, catalan
-
-# Shared machines stall for long stretches; a deadline would time the machine.
-relaxed = settings(deadline=None)
-
 
 def dihedral_images(entries):
     """All 2n images of the sequence under rotations and reversal."""
@@ -98,7 +94,6 @@ def test_stabilizer_orders_beyond_byte_entries():
     assert [fixing_images(q) for q in cases] == [2, 3, 1]
 
 
-@relaxed
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=20).map(tuple))
 def test_canonical_form_is_the_least_dihedral_image(seq):
     assert canonical_form(seq) == min(dihedral_images(seq))

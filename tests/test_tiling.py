@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddity import tiling
@@ -158,10 +160,6 @@ def test_render_alignment():
     assert text.splitlines()[0] == "10  7  4  5  6"
 
 
-# Shared machines stall for long stretches; a deadline would time the machine.
-relaxed = settings(deadline=None)
-
-
 def error_text(call, *args):
     with pytest.raises(NotAPositiveTilingError) as err:
         call(*args)
@@ -203,6 +201,18 @@ def test_generate_tiling_refuses_values_that_are_not_ints(seed, k, l, message):
     with pytest.raises(InvalidSequenceError) as err:
         tiling.generate_tiling(seed, k, l, -2, 2, -2, 2)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("slot, bound", [(0, -2.0), (1, 2.0), (2, True), (3, "2")])
+def test_window_bounds_must_be_ints(slot, bound):
+    bounds = [-2, 2, -2, 2]
+    bounds[slot] = bound
+    message = rf"^{('i0', 'i1', 'j0', 'j1')[slot]} must be an int, got {re.escape(repr(bound))}$"
+    with pytest.raises(InvalidSequenceError, match=message):
+        tiling.formula_window(*bounds)
+    factors = {t: 2 for t in range(-1, 2)}
+    with pytest.raises(InvalidSequenceError, match=message):
+        tiling.generate_tiling(((2, 3), (3, 5)), factors, factors, *bounds)
 
 
 def cell_loop_factors(window):
@@ -252,7 +262,6 @@ def perturbed_windows(draw):
     return tiling.window_from_values(i0, j0, rows)
 
 
-@relaxed
 @given(perturbed_windows())
 def test_extract_factors_matches_cell_loop(window):
     expected = factor_outcome(cell_loop_factors, window)
@@ -297,7 +306,6 @@ factor_lists = st.one_of(
 )
 
 
-@relaxed
 @given(
     st.sampled_from((((2, 3), (3, 5)), ((1, 0), (0, 1)), ((1, 1), (0, 1)), ((3, 2), (1, 1)))),
     factor_lists,

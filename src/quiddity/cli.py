@@ -15,16 +15,19 @@ zero-argument callable) per other format; ``verify`` adds its exit code.
 ``main`` alone prints the requested format and turns errors into the
 ``error: ...`` line and exit code.
 
-Modules load per command: this module imports only ``argparse``, ``sys``
-and the exception types, and each handler imports the package modules it
-runs, so ``quiddity tiling`` never loads the similarity or polygon code.
-``json`` loads only for ``--format json`` and for reading factor files.
+Modules load per command: this module imports only ``sys`` and the
+exception types, and each handler imports the package modules it runs, so
+``quiddity tiling`` never loads the similarity or polygon code.  ``json``
+loads only for ``--format json`` and for reading factor files.
+
+A plain command line is read from the same COMMANDS rows without argparse
+(see ``_parse_plain``); argparse is imported only for the other lines: help,
+abbreviated options, ``--`` and every usage error, so it alone writes their
+text.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
+from types import SimpleNamespace  # loaded at interpreter start
 
 from .errors import (
     InconsistentFactorsError,
@@ -262,7 +265,9 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only for lines that _parse_plain declines
+
     parser = argparse.ArgumentParser(
         prog="quiddity",
         description="Frieze patterns, quiddity sequences and their similarity types.",
@@ -277,11 +282,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ROWS = {row[0]: row for row in COMMANDS}
+
+
+def _parse_plain(argv):
+    """argparse's namespace for a plain command line, or None to leave the line to argparse.
+
+    Plain means: the command name first; long options by their exact names,
+    as ``--opt value``, ``--opt=value`` or a flag without ``=``, each at most
+    once; every value passes the row's ``type`` and ``choices``, and one
+    given as its own token does not start with ``-``; the positionals form
+    one run of the row's count; and every required option is present.
+    argparse gives each such line the same namespace.
+    """
+    row = _ROWS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    name, handler, _, arguments, formats = row
+    options = {"--format": ("format", {"choices": ("text", "json") + formats, "default": "text"})}
+    positional = None
+    for (flag,), spec in arguments:
+        if flag.startswith("-"):
+            options[flag] = (spec.get("dest", flag[2:].replace("-", "_")), spec)
+        else:
+            positional = flag, spec.get("nargs")
+    values = {"command": name, "func": handler}
+    run, closed = [], False  # positionals so far; whether an option followed them
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            run.append(token)
+            continue
+        closed = bool(run)
+        flag, eq, value = token.partition("=")
+        if flag not in options or options[flag][0] in values:
+            return None
+        dest, spec = options[flag]
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        try:
+            value = spec["type"](value) if "type" in spec else value
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if positional is None:
+        if run:
+            return None
+    elif positional[1] == "+":
+        if not run:
+            return None
+        values[positional[0]] = run
+    elif len(run) != 1:
+        return None
+    else:
+        values[positional[0]] = run[0]
+    for dest, spec in options.values():
+        if dest not in values:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default", False if "action" in spec else None)
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if type(exc.code) is int else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if type(exc.code) is int else EXIT_USAGE
     try:
         payload, renderers, *code = args.func(args)
         text = _dumps(payload) if args.format == "json" else renderers[args.format]()

@@ -13,14 +13,15 @@ insert a new 1 into a cyclic gap and bump both neighbours.  Its inverse,
 cutting an ear, is the one linear ear clipper ``_clip_ears``: it decides
 membership without matrices and yields the triangulation's diagonals.
 
+The package's one fold of such words, ``_word_product``, lives here, so
+``is_eta`` runs without loading :mod:`quiddity.sl2`; ``sl2.word_product``
+is the same function, and ``word_matrix`` loads ``sl2`` when called.
+
 Sequences are plain tuples of ints everywhere; every public function
 validates shape (length >= 3, int entries >= 1) and raises
 InvalidSequenceError otherwise.
 """
 
-from __future__ import annotations
-
-from . import sl2
 from .errors import ContractionError, InvalidSequenceError, _check_int
 
 
@@ -35,9 +36,24 @@ def as_sequence(entries, min_length: int = 3) -> tuple:
     return seq
 
 
-def word_matrix(entries) -> sl2.Mat2:
-    """The product U^c0*S * U^c1*S * ... * U^c_{n-1}*S."""
-    return sl2.Mat2(*sl2.word_product(entries))
+def _word_product(exponents, start=(1, 0, 0, 1)) -> tuple:
+    """start * U^x0*S * U^x1*S * ... as an ``(a, b, c, d)`` int tuple.
+
+    The integer kernel behind every word product of the package; no
+    ``Mat2`` is built and no determinant is checked.
+    """
+    a, b, c, d = start
+    for x in exponents:
+        # [[a, b], [c, d]] * U^x * S
+        a, b, c, d = -b, a + b * x, -d, c + d * x
+    return a, b, c, d
+
+
+def word_matrix(entries):
+    """The product U^c0*S * U^c1*S * ... * U^c_{n-1}*S, a ``sl2.Mat2``."""
+    from . import sl2
+
+    return sl2.Mat2(*_word_product(entries))
 
 
 def is_eta(entries) -> bool:
@@ -46,7 +62,7 @@ def is_eta(entries) -> bool:
     # cheap necessary condition first: n-2 triangles, 3 incidences each
     if sum(seq) != 3 * len(seq) - 6:
         return False
-    return sl2.word_product(seq) == (-1, 0, 0, -1)
+    return _word_product(seq) == (-1, 0, 0, -1)
 
 
 def is_eta_by_contraction(entries) -> bool:

@@ -23,8 +23,6 @@ U^{a_{i+j-1}}*S*...*S*U^{a_j}, and the integer frieze reappears in the
 lower-left entries.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import eta, sl2

@@ -39,8 +39,6 @@ other direction, ``from_quiddity``, is the linear ear clipper of
 :mod:`quiddity.eta`.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

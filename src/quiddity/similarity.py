@@ -20,13 +20,18 @@ Counting machinery:
   (m, m, 0) plus all i <= m-1 partitions when n = 2m, all i <= m
   partitions when n = 2m+1.  Gluing orbit data of the three (or two)
   sub-polygons yields a closed count N(i, j, k) per partition, and
-  K_n is the sum over all perfect tri-partitions.
+  K_n is the sum over all perfect tri-partitions.  ``count_types`` sums
+  the about n^2/12 partitions of three distinct arcs (case C) in closed
+  form, so K_n costs O(n) big-int operations; ``perfect_tripartitions`` and
+  ``case_count`` keep the sum term by term.
 * The same gluing, run over actual sequences instead of counts, enumerates
-  one representative per type; brute forces over all triangulations, by
-  orbit counting and by canonical forms, are kept alongside as oracles.
-  All are exhaustive sweeps, refused above ``polygons.SWEEP_CAP`` (14)
-  unless ``cap=`` raises it; the cap and its range check live in
-  :mod:`quiddity.polygons` only.
+  one representative per type: each choice of arms that is least among its
+  images under the central cell's symmetries.  Brute forces over all
+  triangulations, by orbit counting and by canonical forms, are kept
+  alongside as oracles.  All are exhaustive sweeps, refused above
+  ``polygons.SWEEP_CAP`` (14) unless ``cap=`` raises it; the cap and its
+  range check live in :mod:`quiddity.polygons` only, which these sweeps
+  alone load.
 
 The ternary composition law sits underneath: given quiddity sequences a,
 b, c of an (i+1)-, (j+1)- and (k+1)-gon arranged counterclockwise around a
@@ -41,14 +46,12 @@ arc of one side is a degenerate 2-gon arm and enters as (0, 0), in any
 slot and in any number: the formula holds for it unchanged.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 from collections import namedtuple
 
-from . import eta, polygons
+from . import eta
 from .errors import _check_int
 
 DEGENERATE = (0, 0)
@@ -59,6 +62,7 @@ ASYMMETRIC = "asymmetric"
 
 
 def catalan(k: int) -> int:
+    _check_int(k, "k")
     return math.comb(2 * k, k) // (k + 1)
 
 
@@ -170,6 +174,8 @@ def _check_n(n) -> None:
 
 def count_TSA_brute(n: int, cap: int = None):
     """(T_n, S_n, A_n) by exhaustive enumeration."""
+    from . import polygons
+
     total = 0
     fixed = 0
     for q in polygons.iter_quiddities(n, cap):
@@ -188,30 +194,70 @@ def perfect_tripartitions(n: int):
     k = 1 for i = j = m, then C/D/E/F by the equality pattern of i, j, k.
     """
     _check_n(n)
-    m = n // 2
-    out = []
-    if n % 2 == 0:
-        out.append(TriPartition(m, m, 0, "A"))
-        top = m - 1
-    else:
-        top = m
-    for i in range(top, 0, -1):
+    out = [TriPartition(n // 2, n // 2, 0, "A")] if n % 2 == 0 else []
+    for i in range((n - 1) // 2, 0, -1):  # the largest arc below n/2 first
         for j in range(min(i, n - i - 1), 0, -1):
             k = n - i - j
             if k > j:
                 break
-            if n % 2 == 1 and i == j == m:  # k == 1
-                case = "B"
-            elif i > j > k:
-                case = "C"
-            elif i == j > k:
-                case = "D"
-            elif i > j == k:
-                case = "E"
-            else:
-                case = "F"
-            out.append(TriPartition(i, j, k, case))
+            out.append(_tripartition(n, i, j, k))
     return out
+
+
+def _tripartition(n: int, i: int, j: int, k: int) -> TriPartition:
+    """The arcs i >= j >= k >= 1 of a central triangle of the n-gon, with their case."""
+    if n % 2 == 1 and i == j == n // 2:  # k == 1
+        case = "B"
+    elif i > j > k:
+        case = "C"
+    elif i == j > k:
+        case = "D"
+    elif i > j == k:
+        case = "E"
+    else:
+        case = "F"
+    return TriPartition(i, j, k, case)
+
+
+def _tripartitions_with_equal_arcs(n: int):
+    """The perfect tri-partitions of n outside case C: a diameter or two equal arcs.
+
+    At most n/2 + 1 of them: the pair a, a and the third arc n - 2a, all
+    three at most top = (n - 1) // 2, the largest arc below n/2.
+    """
+    top = (n - 1) // 2
+    out = [TriPartition(n // 2, n // 2, 0, "A")] if n % 2 == 0 else []
+    for a in range(1, top + 1):
+        b = n - 2 * a
+        if 1 <= b <= top:
+            out.append(_tripartition(n, *((a, a, b) if b <= a else (b, a, a))))
+    return out
+
+
+def _case_c_total(n: int) -> int:
+    """Sum of case_count over the case-C tri-partitions of n, in O(n) big-int operations.
+
+    An arc a carries t_a = C_{a-1} arms.  Over ordered triples of arcs
+    summing to n, sum t_a*t_b*t_c = [x^{n-3}] c(x)^3 = 3*binom(2n-3, n-3)/(2n-3)
+    for the Catalan series c(x).  At most one arc exceeds top = (n - 1) // 2,
+    and the triples with arc a > top in a given slot sum to t_a * C_{n-a-1},
+    so N, the sum over triples of arcs <= top, takes 3 times their sum off.
+    There a triple of distinct arcs is counted 6 times, one with two equal
+    arcs 3 times (sum P) and an equilateral one once (Q): C = (N - 3P - Q) / 6.
+    """
+    top = (n - 1) // 2
+    cat = [1]  # C_0 .. C_{n-3}
+    for k in range(n - 3):
+        cat.append(cat[-1] * (4 * k + 2) // (k + 2))
+    ordered = 3 * math.comb(2 * n - 3, n - 3) // (2 * n - 3)
+    ordered -= 3 * sum(cat[a - 1] * cat[n - a - 1] for a in range(top + 1, n - 1))
+    pairs = 0
+    for a in range(1, top + 1):
+        b = n - 2 * a
+        if 1 <= b <= top and b != a:
+            pairs += cat[a - 1] ** 2 * cat[b - 1]
+    equilateral = cat[n // 3 - 1] ** 3 if n % 3 == 0 else 0
+    return (ordered - 3 * pairs - equilateral) // 6
 
 
 def case_count(tp: TriPartition) -> int:
@@ -270,6 +316,8 @@ def compose(a, b, c=None) -> tuple:
 
 def brute_type_set(n: int, cap: int = None):
     """Canonical forms of all quiddity sequences of length n, exhaustively."""
+    from . import polygons
+
     return {canonical_form(q) for q in polygons.iter_quiddities(n, cap)}
 
 
@@ -304,33 +352,71 @@ def _stabilizer_sum(quiddities, n: int) -> int:
 def count_types(n: int, method: str = "formula", cap: int = None) -> int:
     """K_n, the number of similarity types of length-n quiddity sequences.
 
-    ``brute`` counts orbits over all triangulations by Burnside's lemma,
-    K_n = sum of |Stab(q)| / 2n, without canonical forms.
+    ``formula`` is the sum of ``case_count`` over the perfect tri-partitions:
+    the O(n) of them with a diameter or two equal arcs term by term, and
+    case C in closed form (``_case_c_total``), so no list of the about
+    n^2/12 tri-partitions is built.  ``brute`` counts orbits over all
+    triangulations by Burnside's lemma, K_n = sum of |Stab(q)| / 2n,
+    without canonical forms.
     """
     if method == "formula":
-        return sum(case_count(tp) for tp in perfect_tripartitions(n))
+        _check_n(n)
+        return _case_c_total(n) + sum(map(case_count, _tripartitions_with_equal_arcs(n)))
     if method == "brute":
+        from . import polygons
+
         polygons.check_sweep(n, cap)  # the generator checks n only at its first item
         return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)
     raise ValueError(f"method must be 'formula' or 'brute', got {method!r}")
+
+
+# The symmetries of a central cell whose arcs have the case's equality
+# pattern, as (order, reversed): the image of a choice c of arms is
+# tuple(c[p][::-1] if reversed else c[p] for p in order).  Reflecting the
+# polygon reverses the order of the arms and each arm.
+_CELL_SYMMETRIES = {
+    "A": (((1, 0), False), ((0, 1), True), ((1, 0), True)),
+    "B": (((1, 0, 2), True),),
+    "C": (),
+    "D": (((1, 0, 2), True),),
+    "E": (((0, 2, 1), True),),
+    "F": (((1, 2, 0), False), ((2, 0, 1), False),
+          ((2, 1, 0), True), ((0, 2, 1), True), ((1, 0, 2), True)),
+}
+
+
+def _type_choices(tp: TriPartition, arms: dict):
+    """The choices of arms for tp that are least among their images: one per type.
+
+    The central cell is unique, so two choices compose to similar sequences
+    exactly when a symmetry of the cell maps one to the other; the least
+    choice of each orbit stands for its type, case_count(tp) in all.
+    """
+    choices = itertools.product(*(arms[p + 1] for p in tp.parts() if p))
+    images = _CELL_SYMMETRIES[tp.case]
+    if not images:
+        return choices
+    return (c for c in choices
+            if all(c <= tuple(c[p][::-1] if rev else c[p] for p in order) for order, rev in images))
 
 
 def enumerate_types(n: int, cap: int = None):
     """One canonical representative per similarity type, sorted.
 
     Realizes the central-structure decomposition: for every perfect
-    tri-partition, compose every choice of arms, one triangulation quiddity
+    tri-partition, compose each choice of arms, one triangulation quiddity
     per arc sub-polygon (two arms for a central diameter, the 2-gon (0, 0)
-    for an arc of one side), and deduplicate canonical forms.  Produces
-    exactly K_n types.  Refused outside 3..cap like the brute force; the
-    arc sub-polygons are swept under the same cap.
+    for an arc of one side), that is least among its images under the
+    symmetries of the central cell.  Each type is composed once, so exactly
+    K_n canonical forms are taken and no set deduplicates them.  Refused
+    outside 3..cap like the brute force; the arc sub-polygons are swept
+    under the same cap.
     """
+    from . import polygons
+
     polygons.check_sweep(n, cap)
     arms = {2: [DEGENERATE]}
     for length in range(3, n // 2 + 2):
         arms[length] = list(polygons.iter_quiddities(length, cap))
-    found = set()
-    for tp in perfect_tripartitions(n):
-        for choice in itertools.product(*(arms[p + 1] for p in tp.parts() if p)):
-            found.add(canonical_form(compose(*choice)))
-    return sorted(found)
+    return sorted(canonical_form(compose(*choice))
+                  for tp in perfect_tripartitions(n) for choice in _type_choices(tp, arms))

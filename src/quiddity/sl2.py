@@ -22,14 +22,16 @@ tuples, since a product of determinant-1 matrices has determinant 1.  One
 kernel, :func:`word_product`, multiplies out words U^x0*S * U^x1*S * ...;
 it serves ``eval_word``, ``eval_tokens``, ``TSNormalForm.to_matrix``,
 ``eta.is_eta`` and ``eta.word_matrix``, and with :func:`mul` the matrix
-frieze in :mod:`quiddity.frieze`.  ``ts_normal_form`` descends on tuples.
+frieze in :mod:`quiddity.frieze`.  It is written once, in :mod:`quiddity.eta`
+(so testing a quiddity sequence never loads this module), and imported here
+under its public name.  :func:`mul` is the one 2x2 product: ``Mat2``'s ``@``
+and ``**`` run on it too.  ``ts_normal_form`` descends on tuples.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidSequenceError, NotUnimodularError
+from .errors import InvalidSequenceError, NotUnimodularError, _check_int
+from .eta import _word_product as word_product
 
 # The most letters ts_normal_form writes out (U^q has 2*|q|, T^2 counts as
 # one letter); a longer normal form is refused before it is built.
@@ -60,27 +62,24 @@ class Mat2:
         return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Mat2(*mul(self.entries(), other.entries()))
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def __pow__(self, k: int) -> "Mat2":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = I
-        base = self
+        """Square and multiply on tuples; an exponent that is not an int is refused."""
+        _check_int(k, "exponent")
+        a, b, c, d = self.entries()
+        base = (a, b, c, d) if k >= 0 else (d, -b, -c, a)  # the inverse
+        out = IDENTITY
+        k = abs(k)
         while k:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = mul(out, base)
+            base = mul(base, base)
             k >>= 1
-        return out
+        return Mat2(*out)
 
     def inverse(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
@@ -112,19 +111,6 @@ def u_pow(a: int) -> Mat2:
 
 
 IDENTITY = (1, 0, 0, 1)
-
-
-def word_product(exponents, start=IDENTITY) -> tuple:
-    """start * U^x0*S * U^x1*S * ... as an ``(a, b, c, d)`` int tuple.
-
-    The integer kernel behind every word product of the package; no
-    ``Mat2`` is built and no determinant is checked.
-    """
-    a, b, c, d = start
-    for x in exponents:
-        # [[a, b], [c, d]] * U^x * S
-        a, b, c, d = -b, a + b * x, -d, c + d * x
-    return a, b, c, d
 
 
 def mul(m, n) -> tuple:
@@ -291,5 +277,7 @@ def ts_normal_form(m: Mat2) -> TSNormalForm:
 
 
 def check_cancellation_identity(a: int, b: int) -> bool:
-    """(U^(a+1)*S)(U*S)(U^(b+1)*S) == (U^a*S)(U^b*S), an identity in SL2(Z)."""
+    """(U^(a+1)*S)(U*S)(U^(b+1)*S) == (U^a*S)(U^b*S), an identity in SL2(Z); a, b ints."""
+    _check_int(a, "a")
+    _check_int(b, "b")
     return word_product((a + 1, 1, b + 1)) == word_product((a, b))

@@ -24,8 +24,6 @@ One construction, :func:`is_embeddable`, completes a sequence to a longer
 quiddity sequence; :func:`extend_superbasic` is its case of super-basic blocks.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import eta

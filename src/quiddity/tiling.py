@@ -31,8 +31,6 @@ columns, so every 2x2 minor equals the seed's.  In exact arithmetic nothing
 needs checking afterwards, so seeds and factors must be ints.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError, _check_int
@@ -68,6 +66,8 @@ FactorVectors = namedtuple("FactorVectors", "k l")
 
 
 def window_from_values(i0: int, j0: int, values) -> TilingWindow:
+    _check_int(i0, "i0")
+    _check_int(j0, "j0")
     rows = tuple(tuple(row) for row in values)
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise NotAPositiveTilingError("window rows must be nonempty and rectangular")
@@ -75,16 +75,22 @@ def window_from_values(i0: int, j0: int, values) -> TilingWindow:
 
 
 def formula_tiling(i: int, j: int) -> int:
-    """Closed-form positive tiling fractured at row 0 and column 0."""
+    """Closed-form positive tiling fractured at row 0 and column 0; i, j ints."""
+    _check_int(i, "i")
+    _check_int(j, "j")
+    return _formula_cell(i, j)
+
+
+def _formula_cell(i: int, j: int) -> int:
     if i * j < 0:
         return abs(i) + abs(j) + 2
     return abs(i * j) + abs(i) + abs(j) + 2
 
 
 def formula_window(i0: int, i1: int, j0: int, j1: int) -> TilingWindow:
-    _check_bounds(i0, i1, j0, j1)
+    _check_bounds(i0, i1, j0, j1)  # once per window; the cells need no check
     return window_from_values(
-        i0, j0, [[formula_tiling(i, j) for j in range(j0, j1 + 1)] for i in range(i0, i1 + 1)]
+        i0, j0, [[_formula_cell(i, j) for j in range(j0, j1 + 1)] for i in range(i0, i1 + 1)]
     )
 
 

@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import shlex
@@ -7,8 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quiddity import cli
 from quiddity.cli import COMMANDS, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -456,3 +464,131 @@ def test_import_budget_per_command():
         assert not added & HEAVY, (name, sorted(added & HEAVY))
         assert "json" not in added_by_text, name
         assert "json" in added, name
+
+
+# -- the plain parser ---------------------------------------------------------
+
+def argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+OPTION_NAMES = sorted(
+    {flag for *_, arguments, _ in COMMANDS for (flag,), _ in arguments if flag.startswith("-")}
+    | {"--format", "--form", "--fo", "--wind", "--help", "-h", "-n", "--"}
+)
+VALUES = ["5", "12", "abc", "", " 7", "+4", "5_0", "-3", "-", "formula", "brute", "magic",
+          "text", "json", "dot", "svg", "2,1,3,1,2", "1,3,3", "+", "U^2*S", "-2:2,-2:2",
+          "0:1,0:1", "a b", "-1 0", "x=y", "0,4"]
+# values each option may take, and some it may not
+OPTION_VALUES = {"--n": ["5", " 7", "+4", "1_2", "x"], "--cap": ["9", "0"],
+                 "--method": ["formula", "brute", "magic"], "--format": ["text", "json", "dot", "svg"],
+                 "--root": ["0,4", "", "a,b"], "--seed": ["2,3,3,5"], "--kfile": ["k.json"],
+                 "--lfile": ["l.json"], "--window": ["-2:2,-2:2", "0:1,0:1"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A working line of a command (or none) with up to three pieces inserted at one
+    place: an option alone, with a value, as option=value, or a value alone."""
+    base = draw(st.sampled_from([*BUDGET_ARGV.values(), ["nosuch"], ["--help"]]))
+    row = cli._ROWS.get(base[0])
+    own = ["--format"] + [flag for (flag,), _ in row[3] if flag.startswith("-")] if row else ["-h"]
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):  # mostly what the command takes
+            option = draw(st.sampled_from(own))
+            if option not in OPTION_VALUES:
+                pieces.append(option)
+                continue
+            value = draw(st.sampled_from(OPTION_VALUES[option]))
+            forms = [[option, value], [f"{option}={value}"]]
+        else:
+            option, value = draw(st.sampled_from(OPTION_NAMES)), draw(st.sampled_from(VALUES))
+            forms = [[option], [option, value], [f"{option}={value}"], [value]]
+        pieces += draw(st.sampled_from(forms))
+    cut = draw(st.integers(1, len(base)))
+    return base[:cut] + pieces + base[cut:]
+
+
+@settings(max_examples=1000)
+@given(command_lines())
+@example(["tiling", "--formula-paper", "--window=-2:2,-2:2", "--format", "json"])
+@example(["extend", "--format", "json", "1,3,3", "+", "1,3,4"])
+@example(["tree", "1,2,2,1,3", "--root", ""])
+@example(["count", "--n", " 7", "--cap=5_0", "--method=brute"])
+def test_plain_parser_gives_argparse_namespace_or_declines(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_namespace(argv)  # and argparse did not exit
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["verify", "1,2,3", "1,2,3"], ["verify", "-1,2"], ["verify", "--", "1,1,1"],
+    ["count", "--n", "5", "--n", "6"], ["count", "--n", "-5"], ["count", "--n=x"],
+    ["count", "--method", "brute"], ["count", "--n", "5", "--fo", "json"],
+    ["tiling", "--formula-paper=1", "--window=0:1,0:1"], ["tiling", "--formula-paper"],
+    ["extend", "1,3,3", "--format", "json", "1,3,4"], ["types", "--n", "7", "--format", "svg"],
+    ["types", "--n", "7", "--help"], ["nosuch"], [],
+])
+def test_plain_parser_declines_what_it_does_not_read(argv):
+    assert cli._parse_plain(argv) is None
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path as the benchmark runs it (it imports oracles)."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_cli_benchmark_command_is_a_plain_line(monkeypatch):
+    # the cli workload's processes take the plain parser, not argparse
+    workloads = load_workloads(monkeypatch)
+    files = {"{kfile}": "k.json", "{lfile}": "l.json"}
+    for seed in range(1, 11):
+        ops, _ = workloads.generate("cli", seed)
+        for op in ops:
+            argv = [files.get(token, token) for token in op["argv"]]
+            plain = cli._parse_plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == argparse_namespace(argv), argv
+
+
+ARGPARSE_PROBE = """
+import contextlib, io, sys
+from quiddity.cli import main
+
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(repr([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+"""
+
+
+def run_probe(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_plain_lines_never_load_argparse_and_others_print_its_text():
+    for argv in BUDGET_ARGV.values():
+        for line in (argv, argv + ["--format", "json"]):
+            code, out, _, loaded = run_probe(line)
+            assert (code, loaded) == (0, False), line
+            assert out
+    golden = {tuple(g["argv"]): g for g in
+              json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))}
+    for argv in (["count", "--help"], ["count", "--n", "abc"]):
+        code, out, err, loaded = run_probe(argv)
+        want = golden[tuple(argv)]
+        assert loaded, argv
+        assert (code, out, err) == (want["code"], want["stdout"], want["stderr"]), argv

@@ -316,6 +316,24 @@ def test_non_int_n_is_refused(call, n):
         N_CALLS[call](n)
 
 
+def test_count_types_equals_the_sum_term_by_term():
+    # case C in closed form against case_count over every perfect tri-partition
+    for n in range(3, 401):
+        assert count_types(n) == sum(map(case_count, perfect_tripartitions(n))), n
+
+
+def test_tripartitions_with_equal_arcs_are_those_outside_case_c():
+    for n in range(3, 200):
+        others = [tp for tp in perfect_tripartitions(n) if tp.case != "C"]
+        assert sorted(similarity._tripartitions_with_equal_arcs(n)) == sorted(others), n
+
+
+@pytest.mark.parametrize("k", [2.0, True, None, "3"])
+def test_catalan_refuses_a_non_int(k):
+    with pytest.raises(InvalidSequenceError, match=rf"^k must be an int, got {re.escape(repr(k))}$"):
+        catalan(k)
+
+
 @pytest.mark.parametrize("call", ["count_TSA", "perfect_tripartitions", "count_types(formula)"])
 def test_one_message_below_3_without_a_sweep(call):
     with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
@@ -418,8 +436,10 @@ class TestEnumerateTypes:
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_each_tripartition_glues_its_case_count(self, n):
-        # the paper's K_n = sum of N(i, j, k), term by term: the loop of
-        # enumerate_types, with one set of canonical forms per tri-partition
+        # the paper's K_n = sum of N(i, j, k), term by term: every choice of
+        # arms composed, with one set of canonical forms per tri-partition
+        # (the deduplicating enumeration); the choices enumerate_types keeps
+        # give each of these types exactly once
         arms = {2: [(0, 0)]}
         for length in range(3, n // 2 + 2):
             arms[length] = list(polygons.iter_quiddities(length))
@@ -430,7 +450,10 @@ class TestEnumerateTypes:
             assert len(glued) == case_count(tp), tp
             assert union.isdisjoint(glued), tp
             union |= glued
-        assert union == set(enumerate_types(n))
+            kept = [canonical_form(compose(*choice))
+                    for choice in similarity._type_choices(tp, arms)]
+            assert sorted(kept) == sorted(glued), tp
+        assert enumerate_types(n) == sorted(union)
 
     def test_composition_respects_central_arc_counts(self):
         # every length-7 type arises from exactly one partition family

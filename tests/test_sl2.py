@@ -58,6 +58,28 @@ def test_entries_must_be_ints(entries):
         Mat2(*entries)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.5, 2.0, None, "2"])
+def test_power_refuses_a_non_int_exponent(k):
+    with pytest.raises(InvalidSequenceError, match=rf"^exponent must be an int, got {re.escape(repr(k))}$"):
+        U ** k
+
+
+@pytest.mark.parametrize("k", [-7, -2, -1, 0, 1, 2, 5, 64])
+def test_power_equals_repeated_products(k):
+    m = U @ S @ sl2.u_pow(3)
+    step = m if k >= 0 else m.inverse()
+    want = I
+    for _ in range(abs(k)):
+        want = want @ step
+    assert m ** k == want
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 2), (1, 2.0), (True, 2), (1, None)])
+def test_cancellation_identity_refuses_non_ints(a, b):
+    with pytest.raises(InvalidSequenceError, match="must be an int"):
+        sl2.check_cancellation_identity(a, b)
+
+
 def test_word_matrix_of_float_entries_is_refused():
     with pytest.raises(InvalidSequenceError, match="matrix entries must be ints"):
         eta.word_matrix((1.0, 1, 1))

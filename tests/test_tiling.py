@@ -203,6 +203,28 @@ def test_generate_tiling_refuses_values_that_are_not_ints(seed, k, l, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("i0, j0, message", [
+    (0.5, 0, "i0 must be an int, got 0.5"),
+    (0, True, "j0 must be an int, got True"),
+    (None, 0, "i0 must be an int, got None"),
+])
+def test_window_from_values_refuses_non_int_corners(i0, j0, message):
+    with pytest.raises(InvalidSequenceError) as err:
+        tiling.window_from_values(i0, j0, [[1, 2], [1, 3]])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (1.5, 2, "i must be an int, got 1.5"),
+    (1, 2.0, "j must be an int, got 2.0"),
+    (False, 0, "i must be an int, got False"),
+])
+def test_formula_tiling_refuses_non_int_indices(i, j, message):
+    with pytest.raises(InvalidSequenceError) as err:
+        tiling.formula_tiling(i, j)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("slot, bound", [(0, -2.0), (1, 2.0), (2, True), (3, "2")])
 def test_window_bounds_must_be_ints(slot, bound):
     bounds = [-2, 2, -2, 2]

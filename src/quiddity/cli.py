@@ -17,7 +17,9 @@ zero-argument callable) per other format; ``verify`` adds its exit code.
 
 Modules load per command: this module imports only ``sys`` and the
 exception types, and each handler imports the package modules it runs, so
-``quiddity tiling`` never loads the similarity or polygon code.  ``json``
+``quiddity tiling`` never loads the similarity or polygon code, and a
+renderer that alone needs a module imports it itself (``types --format
+dot`` loads the polygon code, text ``types`` does not).  ``json``
 loads only for ``--format json`` and for reading factor files.
 
 A plain command line is read from the same COMMANDS rows without argparse
@@ -106,14 +108,18 @@ def cmd_count(args):
 
 
 def cmd_types(args):
-    from . import eta, polygons, similarity
+    from . import eta, similarity
 
     reps = similarity.enumerate_types(args.n, cap=args.cap)
+
+    def dot():
+        from . import polygons
+
+        return "\n".join(polygons.triangulation_to_dot(polygons.from_quiddity(r)) for r in reps)
+
     return {"n": args.n, "K": len(reps), "types": [list(r) for r in reps]}, {
         "text": lambda: "\n".join([f"K={len(reps)}"] + [eta.format_sequence(r) for r in reps]),
-        "dot": lambda: "\n".join(
-            polygons.triangulation_to_dot(polygons.from_quiddity(r)) for r in reps
-        ),
+        "dot": dot,
     }
 
 

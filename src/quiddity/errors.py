@@ -9,6 +9,11 @@ A scalar argument that must be an int is checked by ``_check_int``, one
 rule for every module: exactly ``int``, so bools and other int subclasses
 are refused like floats, strings and None.  The name in the message is
 formatted only on refusal, so a check in a loop costs one call.
+
+Every exhaustive sweep of the package runs only for 3 <= n <= SWEEP_CAP
+unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
+``check_sweep`` is the one range check, here so that a sweep that builds
+its polygons without :mod:`quiddity.polygons` need not load it.
 """
 
 
@@ -20,6 +25,18 @@ def _check_int(value, what: str, *where) -> None:
     """Refuse a value that is not exactly an int, naming it ``what.format(*where)``."""
     if type(value) is not int:
         raise InvalidSequenceError(f"{what.format(*where)} must be an int, got {value!r}")
+
+
+SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
+
+
+def check_sweep(n: int, cap: int = None) -> None:
+    """Refuse an exhaustive sweep at n unless 3 <= n <= cap (default SWEEP_CAP)."""
+    limit = SWEEP_CAP if cap is None else cap
+    _check_int(n, "n")
+    _check_int(limit, "cap")
+    if not 3 <= n <= limit:
+        raise ValueError(f"n={n} outside 3..{limit} (raise the cap with cap= or --cap)")
 
 
 class NotQuiddityError(ValueError):

@@ -20,12 +20,12 @@ The matrix analogue replaces the diamond rule by
 Q(i, j) = Q(i-1, j+1) * Q(i-2, j+1)^-1 * Q(i-1, j) with constant row 0.
 Seeding row 0 with -S and row 1 with U^{a_j} makes Q(i, j) the word
 U^{a_{i+j-1}}*S*...*S*U^{a_j}, and the integer frieze reappears in the
-lower-left entries.
+lower-left entries.  Only the matrix frieze loads :mod:`quiddity.sl2`.
 """
 
 from collections import namedtuple
 
-from . import eta, sl2
+from . import eta
 from .errors import InvalidSequenceError, NotQuiddityError, _check_int
 
 
@@ -110,7 +110,8 @@ class MatrixFriezeWindow(namedtuple("MatrixFriezeWindow", "n cells")):
 
     __slots__ = ()
 
-    def cell(self, i: int, j: int) -> sl2.Mat2:
+    def cell(self, i: int, j: int):
+        """The Mat2 Q(i, j), j read modulo n."""
         return self.cells[i][j % self.n]
 
 
@@ -125,12 +126,14 @@ def generate_matrix_frieze(entries) -> MatrixFriezeWindow:
     Q(i, j) = U^{a_{i+j-1}}*S*...*S*U^{a_j}, with i powers of U, exact and
     computed once.  Entries must be positive ints.
     """
+    from . import sl2  # only the matrix frieze needs it
+
     seq = eta.as_sequence(entries)
     rows = generate_matrix_frieze_rows(-sl2.S, [sl2.u_pow(a) for a in seq], len(seq))
     return MatrixFriezeWindow(n=len(seq), cells=tuple(rows))
 
 
-def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
+def generate_matrix_frieze_rows(row0, row1, depth: int):
     """General matrix frieze: constant row 0, arbitrary periodic row 1.
 
     Returns rows 0..depth as tuples of Mat2, each of the period of row1, of
@@ -139,6 +142,8 @@ def generate_matrix_frieze_rows(row0: sl2.Mat2, row1, depth: int):
     (a, b, c, d) tuples.  A depth that is not an int >= 0 raises
     InvalidSequenceError.
     """
+    from . import sl2
+
     _check_int(depth, "matrix frieze depth")
     if depth < 0:
         raise InvalidSequenceError(f"matrix frieze depth must be at least 0, got {depth}")

@@ -27,7 +27,9 @@ recursion on the apex of the triangle resting on the base edge, apex
 increasing, left sub-polygon before right, run on an explicit stack.  Every
 exhaustive sweep of the package, here and in :mod:`quiddity.similarity`,
 runs only for 3 <= n <= SWEEP_CAP unless its ``cap=`` argument (the CLI's
-``--cap``) raises the cap; ``check_sweep`` is the one range check.
+``--cap``) raises the cap; ``check_sweep`` is the one range check.  Both
+live in :mod:`quiddity.errors` and are imported here, so
+``polygons.SWEEP_CAP`` and ``polygons.check_sweep`` keep working.
 
 A given triangulation is read by one pass, that of ``to_dual_tree``: over
 the sides in order, it joins the top two subtrees at each chord's larger
@@ -43,7 +45,7 @@ import itertools
 from collections import namedtuple
 
 from . import eta
-from .errors import InvalidSequenceError, NotQuiddityError, _check_int
+from .errors import SWEEP_CAP, InvalidSequenceError, NotQuiddityError, _check_int, check_sweep
 
 
 class Triangulation(namedtuple("Triangulation", "n diagonals")):
@@ -141,18 +143,6 @@ def from_quiddity(entries) -> Triangulation:
     if diagonals is None:
         raise NotQuiddityError(f"{eta.format_sequence(seq)} is not a quiddity sequence")
     return Triangulation(n=len(seq), diagonals=tuple(sorted(diagonals)))
-
-
-SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
-
-
-def check_sweep(n: int, cap: int = None) -> None:
-    """Refuse an exhaustive sweep at n unless 3 <= n <= cap (default SWEEP_CAP)."""
-    limit = SWEEP_CAP if cap is None else cap
-    _check_int(n, "n")
-    _check_int(limit, "cap")
-    if not 3 <= n <= limit:
-        raise ValueError(f"n={n} outside 3..{limit} (raise the cap with cap= or --cap)")
 
 
 def enumerate_triangulations(n: int, cap: int = None):

@@ -22,16 +22,18 @@ Counting machinery:
   sub-polygons yields a closed count N(i, j, k) per partition, and
   K_n is the sum over all perfect tri-partitions.  ``count_types`` sums
   the about n^2/12 partitions of three distinct arcs (case C) in closed
-  form, so K_n costs O(n) big-int operations; ``perfect_tripartitions`` and
+  form and reads every T and S from one list of Catalan numbers, so K_n
+  costs O(n) big-int operations; ``perfect_tripartitions`` and
   ``case_count`` keep the sum term by term.
 * The same gluing, run over actual sequences instead of counts, enumerates
-  one representative per type: each choice of arms that is least among its
-  images under the central cell's symmetries.  Brute forces over all
-  triangulations, by orbit counting and by canonical forms, are kept
-  alongside as oracles.  All are exhaustive sweeps, refused above
-  ``polygons.SWEEP_CAP`` (14) unless ``cap=`` raises it; the cap and its
-  range check live in :mod:`quiddity.polygons` only, which these sweeps
-  alone load.
+  one representative per type: arms glued from the 2-gon by the apex
+  recursion, and one choice of arms per orbit of the central cell's
+  symmetries, kept by a rule on arm indices.  So ``enumerate_types``
+  neither sweeps nor loads :mod:`quiddity.polygons`.  Brute forces over
+  all triangulations, by orbit counting and by canonical forms, are kept
+  alongside as oracles and load it.  All these sweeps are refused above
+  ``SWEEP_CAP`` (14) unless ``cap=`` raises it; the cap and
+  ``check_sweep`` live in :mod:`quiddity.errors`.
 
 The ternary composition law sits underneath: given quiddity sequences a,
 b, c of an (i+1)-, (j+1)- and (k+1)-gon arranged counterclockwise around a
@@ -49,10 +51,11 @@ slot and in any number: the formula holds for it unchanged.
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from . import eta
-from .errors import _check_int
+from .errors import _check_int, check_sweep
 
 DEGENERATE = (0, 0)
 
@@ -145,18 +148,24 @@ def _describe(seq: tuple):
     return SeqClassification(period=period, category=category), orbit
 
 
-@functools.lru_cache(maxsize=None)
-def _tsa(length: int):
-    """(T, S, A) for sub-polygon counting; length 2 is the degenerate 2-gon.
-
-    Cached per length: K_n asks for the same arc lengths thousands of
-    times, and the cache holds at most one int triple per length up to n.
-    """
+def _tsa_of(cat, length: int):
+    """(T, S, A) for sub-polygon counting, C_k read as cat(k); length 2 is the degenerate 2-gon."""
     if length == 2:
         return (1, 1, 0)
-    t = catalan(length - 2)
-    s = 0 if length % 2 == 0 else catalan((length - 1) // 2 - 1)
+    t = cat(length - 2)
+    s = 0 if length % 2 == 0 else cat((length - 1) // 2 - 1)
     return (t, s, (t - s) // 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _tsa(length: int):
+    """_tsa_of by ``catalan``, cached per length.
+
+    ``case_count`` over all perfect tri-partitions asks for the same arc
+    lengths thousands of times, and the cache holds at most one int triple
+    per length up to n.  ``count_types`` reads a Catalan list instead.
+    """
+    return _tsa_of(catalan, length)
 
 
 def count_TSA(n: int):
@@ -234,7 +243,15 @@ def _tripartitions_with_equal_arcs(n: int):
     return out
 
 
-def _case_c_total(n: int) -> int:
+def _catalans(n: int) -> list:
+    """C_0 .. C_{n-3}, each from the one before by one product and one division."""
+    cat = [1]
+    for k in range(n - 3):
+        cat.append(cat[-1] * (4 * k + 2) // (k + 2))
+    return cat
+
+
+def _case_c_total(n: int, cat: list) -> int:
     """Sum of case_count over the case-C tri-partitions of n, in O(n) big-int operations.
 
     An arc a carries t_a = C_{a-1} arms.  Over ordered triples of arcs
@@ -244,11 +261,9 @@ def _case_c_total(n: int) -> int:
     so N, the sum over triples of arcs <= top, takes 3 times their sum off.
     There a triple of distinct arcs is counted 6 times, one with two equal
     arcs 3 times (sum P) and an equilateral one once (Q): C = (N - 3P - Q) / 6.
+    cat is ``_catalans(n)``.
     """
     top = (n - 1) // 2
-    cat = [1]  # C_0 .. C_{n-3}
-    for k in range(n - 3):
-        cat.append(cat[-1] * (4 * k + 2) // (k + 2))
     ordered = 3 * math.comb(2 * n - 3, n - 3) // (2 * n - 3)
     ordered -= 3 * sum(cat[a - 1] * cat[n - a - 1] for a in range(top + 1, n - 1))
     pairs = 0
@@ -269,15 +284,20 @@ def case_count(tp: TriPartition) -> int:
     with the roles of the arms swapped, so ROADMAP.md's stabilizer rules
     for B, D and E are one rule too: t_pair*s_odd types have |Stab| = 2.
     """
-    ti, si, ai = _tsa(tp.i + 1)
+    return _case_count(tp, _tsa)
+
+
+def _case_count(tp: TriPartition, tsa) -> int:
+    """case_count(tp), with (T, S, A) of an arm of each length read from tsa(length)."""
+    ti, si, ai = tsa(tp.i + 1)
     if tp.case == "A":
         # Z2 x Z2 (swap the halves, reflect both) acting on ordered pairs
         return ai * (ai + 1) + ai * si + si * (si + 1) // 2
     if tp.case == "F":
         # dihedral D3 permutes the three equal arms
         return ti * (ti + 1) * (ti + 2) // 6 - ti * ai
-    tj = _tsa(tp.j + 1)[0]
-    tk, sk, _ = _tsa(tp.k + 1)
+    tj = tsa(tp.j + 1)[0]
+    tk, sk, _ = tsa(tp.k + 1)
     if tp.case == "C":
         return ti * tj * tk
     # B, D, E: arc j is in the pair, i = j (B, D) or j = k (E)
@@ -297,12 +317,16 @@ def compose(a, b, c=None) -> tuple:
     quiddity sequence.
     """
     if c is None:
-        a = eta.as_sequence(a)
-        b = eta.as_sequence(b)
+        return _glue(eta.as_sequence(a), eta.as_sequence(b))
+    return _glue(*[x if x == DEGENERATE and type(x[0]) is type(x[1]) is int else eta.as_sequence(x)
+                   for x in map(tuple, (a, b, c))])
+
+
+def _glue(a: tuple, b: tuple, c: tuple = None) -> tuple:
+    """compose on arms already checked: the gluing formula of the module docstring."""
+    if c is None:
         u, v = len(a) - 1, len(b) - 1
         return (a[0] + b[v],) + a[1:u] + (a[u] + b[0],) + b[1:v]
-    a, b, c = [x if x == DEGENERATE and type(x[0]) is type(x[1]) is int else eta.as_sequence(x)
-               for x in map(tuple, (a, b, c))]
     u, v, w = len(a) - 1, len(b) - 1, len(c) - 1
     return (
         (a[0] + c[w] + 1,)
@@ -337,12 +361,12 @@ def _stabilizer_sum(quiddities, n: int) -> int:
     word = bytes if n <= 257 else lambda q: "".join(map(chr, q))
     total = 0
     for q in quiddities:
-        size = 1
-        if halves and q[:h] == q[h:]:
-            size = 2
-        elif thirds and q[:t] == q[t:2 * t] == q[2 * t:]:
-            size = 3
         w = word(q)
+        size = 1
+        if halves and w[:h] == w[h:]:
+            size = 2
+        elif thirds and w[:t] == w[t:2 * t] == w[2 * t:]:
+            size = 3
         if w[::-1] in w + w:
             size *= 2
         total += size
@@ -355,68 +379,110 @@ def count_types(n: int, method: str = "formula", cap: int = None) -> int:
     ``formula`` is the sum of ``case_count`` over the perfect tri-partitions:
     the O(n) of them with a diameter or two equal arcs term by term, and
     case C in closed form (``_case_c_total``), so no list of the about
-    n^2/12 tri-partitions is built.  ``brute`` counts orbits over all
+    n^2/12 tri-partitions is built.  Both read T and S from one list of
+    Catalan numbers, built once per call.  ``brute`` counts orbits over all
     triangulations by Burnside's lemma, K_n = sum of |Stab(q)| / 2n,
     without canonical forms.
     """
     if method == "formula":
         _check_n(n)
-        return _case_c_total(n) + sum(map(case_count, _tripartitions_with_equal_arcs(n)))
+        cat = _catalans(n)
+        tsa = functools.partial(_tsa_of, cat.__getitem__)
+        return _case_c_total(n, cat) + sum(_case_count(tp, tsa)
+                                           for tp in _tripartitions_with_equal_arcs(n))
     if method == "brute":
         from . import polygons
 
-        polygons.check_sweep(n, cap)  # the generator checks n only at its first item
+        check_sweep(n, cap)  # the generator checks n only at its first item
         return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)
     raise ValueError(f"method must be 'formula' or 'brute', got {method!r}")
 
 
-# The symmetries of a central cell whose arcs have the case's equality
-# pattern, as (order, reversed): the image of a choice c of arms is
-# tuple(c[p][::-1] if reversed else c[p] for p in order).  Reflecting the
+def _glued_arms(top: int) -> dict:
+    """arms[m] for m = 2..top: every quiddity sequence of the m-gon, the 2-gon (0, 0) at 2.
+
+    The apex recursion of ``polygons.iter_quiddities``, in its order: the
+    triangle on the side (m-1, 0) with apex k, 1 <= k <= m-2, leaves a
+    (k+1)-gon and an (m-k)-gon, glued around it with a 2-gon third arm.
+    """
+    arms = {2: [DEGENERATE]}
+    for m in range(3, top + 1):
+        arms[m] = [_glue(left, right, DEGENERATE)
+                   for k in range(1, m - 1) for left in arms[k + 1] for right in arms[m - k]]
+    return arms
+
+
+def _reversals(arms: list) -> list:
+    """r with arms[r[x]] the reversal of arms[x]."""
+    index = {arm: x for x, arm in enumerate(arms)}
+    return [index[arm[::-1]] for arm in arms]
+
+
+# The symmetries of a central cell with three equal arcs (F) or a central
+# diameter (A), as (order, reversed): the image of a choice c of arm indices
+# is tuple(r[c[p]] if reversed else c[p] for p in order).  Reflecting the
 # polygon reverses the order of the arms and each arm.
 _CELL_SYMMETRIES = {
     "A": (((1, 0), False), ((0, 1), True), ((1, 0), True)),
-    "B": (((1, 0, 2), True),),
-    "C": (),
-    "D": (((1, 0, 2), True),),
-    "E": (((0, 2, 1), True),),
     "F": (((1, 2, 0), False), ((2, 0, 1), False),
           ((2, 1, 0), True), ((0, 2, 1), True), ((1, 0, 2), True)),
 }
 
 
 def _type_choices(tp: TriPartition, arms: dict):
-    """The choices of arms for tp that are least among their images: one per type.
+    """One choice of arms for tp per type, case_count(tp) in all.
 
     The central cell is unique, so two choices compose to similar sequences
-    exactly when a symmetry of the cell maps one to the other; the least
-    choice of each orbit stands for its type, case_count(tp) in all.
+    exactly when a symmetry of the cell maps one to the other; a rule on
+    the indices (x, y, z) of the arms in their lists keeps one choice of
+    each orbit, with r the reversal map of a list.  C has no symmetry.  B
+    and D, whose first two arms pair, keep x < r(y), or x = r(y) and
+    z <= r(z); E, whose last two pair, keeps x < r(x), or x = r(x) and
+    y <= r(z).  A and F keep the index tuples least among their images.
     """
-    choices = itertools.product(*(arms[p + 1] for p in tp.parts() if p))
-    images = _CELL_SYMMETRIES[tp.case]
-    if not images:
-        return choices
-    return (c for c in choices
-            if all(c <= tuple(c[p][::-1] if rev else c[p] for p in order) for order, rev in images))
+    lists = [arms[p + 1] for p in tp.parts() if p]
+    if tp.case == "C":
+        yield from itertools.product(*lists)
+    elif tp.case in "BD":
+        pair, odd = lists[0], lists[2]
+        r, r_odd = _reversals(pair), _reversals(odd)
+        odd_kept = [c for z, c in enumerate(odd) if z <= r_odd[z]]
+        for y, b in enumerate(pair):
+            yield from itertools.product(pair[:r[y]], (b,), odd)
+            yield from itertools.product((pair[r[y]],), (b,), odd_kept)
+    elif tp.case == "E":
+        odd, pair = lists[0], lists[1]
+        r, r_odd = _reversals(pair), _reversals(odd)
+        pairs_kept = [(b, c) for z, c in enumerate(pair) for b in pair[:r[z] + 1]]
+        for x, a in enumerate(odd):
+            if x < r_odd[x]:
+                yield from itertools.product((a,), pair, pair)
+            elif x == r_odd[x]:
+                yield from ((a, b, c) for b, c in pairs_kept)
+    else:
+        arm, r = lists[0], _reversals(lists[0])
+        images = [(operator.itemgetter(*order), rev) for order, rev in _CELL_SYMMETRIES[tp.case]]
+        # the swap (A) and the turns (F) bring any arm first: a least c starts with its least index
+        for x in range(len(arm)):
+            for c in itertools.product((x,), *[range(x, len(arm))] * (len(lists) - 1)):
+                rc = tuple([r[i] for i in c])
+                if all(c <= image(rc if rev else c) for image, rev in images):
+                    yield tuple([arm[i] for i in c])
 
 
 def enumerate_types(n: int, cap: int = None):
     """One canonical representative per similarity type, sorted.
 
     Realizes the central-structure decomposition: for every perfect
-    tri-partition, compose each choice of arms, one triangulation quiddity
-    per arc sub-polygon (two arms for a central diameter, the 2-gon (0, 0)
-    for an arc of one side), that is least among its images under the
-    symmetries of the central cell.  Each type is composed once, so exactly
-    K_n canonical forms are taken and no set deduplicates them.  Refused
-    outside 3..cap like the brute force; the arc sub-polygons are swept
-    under the same cap.
+    tri-partition, glue each choice of arms (two for a central diameter,
+    the 2-gon (0, 0) for an arc of one side) that ``_type_choices`` keeps,
+    one per type.  The arms themselves are glued from the 2-gon by the
+    apex recursion, so no sweep of :mod:`quiddity.polygons` runs and it is
+    not loaded.  Each type is composed once, so exactly K_n canonical forms
+    are taken and no set deduplicates them.  Refused outside 3..cap like
+    the brute force; the cap bounds n only.
     """
-    from . import polygons
-
-    polygons.check_sweep(n, cap)
-    arms = {2: [DEGENERATE]}
-    for length in range(3, n // 2 + 2):
-        arms[length] = list(polygons.iter_quiddities(length, cap))
-    return sorted(canonical_form(compose(*choice))
+    check_sweep(n, cap)
+    arms = _glued_arms(n // 2 + 1)
+    return sorted(canonical_form(_glue(*choice))
                   for tp in perfect_tripartitions(n) for choice in _type_choices(tp, arms))

@@ -421,6 +421,22 @@ BUDGET_ARGV = {
     "tiling": ["tiling", "--formula-paper", "--window=-2:2,-2:2"],
 }
 
+# The package modules each BUDGET_ARGV line loads besides cli and errors, in
+# text and in json format: a module a command does not run is never compiled.
+# Text types glues its polygons without quiddity.polygons, and frieze prints
+# the integer frieze without sl2.
+BUDGET_MODULES = {
+    "verify": {"eta", "similarity"},
+    "frieze": {"eta", "frieze"},
+    "count": {"eta", "polygons", "similarity"},
+    "types": {"eta", "similarity"},
+    "supplement": {"eta", "supplements"},
+    "extend": {"eta", "supplements"},
+    "reduce": {"eta", "sl2"},
+    "tree": {"eta", "polygons"},
+    "tiling": {"tiling"},
+}
+
 BUDGET_PROBE = """
 import io, sys
 from quiddity.cli import main
@@ -441,12 +457,18 @@ print(repr([text, run(argv + ["--format", "json"])]))
 HEAVY = {"dataclasses", "inspect", "ast"}
 
 
+def package_modules(modules):
+    return {m.removeprefix("quiddity.") for m in modules if m.startswith("quiddity.")}
+
+
 def test_import_budget_per_command():
     """No command loads dataclasses, inspect or ast; text output never loads json.
 
     Each command runs in a fresh interpreter, first in text and then in
     json format, and the modules it added are those missing from a bare
-    interpreter (whose site hooks may load anything).
+    interpreter (whose site hooks may load anything).  The package modules
+    are exactly those of BUDGET_MODULES besides cli and errors, and
+    ``types --format dot`` adds polygons to those of text ``types``.
     """
     assert set(BUDGET_ARGV) == {name for name, *_ in COMMANDS}
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -464,6 +486,14 @@ def test_import_budget_per_command():
         assert not added & HEAVY, (name, sorted(added & HEAVY))
         assert "json" not in added_by_text, name
         assert "json" in added, name
+        want = {"cli", "errors"} | BUDGET_MODULES[name]
+        assert package_modules(text_modules) == package_modules(json_modules) == want, name
+    proc = subprocess.run([sys.executable, "-c", BUDGET_PROBE, *BUDGET_ARGV["types"],
+                           "--format", "dot"], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    (dot_code, dot_modules), _ = ast.literal_eval(proc.stdout)
+    assert dot_code == 0
+    assert package_modules(dot_modules) == {"cli", "errors", "eta", "polygons", "similarity"}
 
 
 # -- the plain parser ---------------------------------------------------------

@@ -288,9 +288,13 @@ def cap_message(n, cap):
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_explicit_cap_above_16_is_honoured(sweep, monkeypatch):
     # Cut each enumeration after five items: only the range check runs in full.
+    # enumerate_types glues its own arms, so its choices per tri-partition are cut.
     real = polygons.iter_quiddities
     monkeypatch.setattr(polygons, "iter_quiddities",
                         lambda n, cap=None: itertools.islice(real(n, cap), 5))
+    choices = similarity._type_choices
+    monkeypatch.setattr(similarity, "_type_choices",
+                        lambda tp, arms: itertools.islice(choices(tp, arms), 5))
     SWEEPS[sweep](17, 17)
     with pytest.raises(ValueError, match=cap_message(18, 17)):
         SWEEPS[sweep](18, 17)
@@ -454,6 +458,24 @@ class TestEnumerateTypes:
                     for choice in similarity._type_choices(tp, arms)]
             assert sorted(kept) == sorted(glued), tp
         assert enumerate_types(n) == sorted(union)
+
+    def test_glued_arms_are_the_walk(self):
+        # the apex recursion by gluing gives iter_quiddities, sequence by sequence
+        arms = similarity._glued_arms(11)
+        assert arms[2] == [(0, 0)]
+        for m in range(3, 12):
+            assert arms[m] == list(polygons.iter_quiddities(m)), m
+
+    def test_kept_choices_count_each_case(self):
+        # one kept choice per type: case_count(tp) of them for every perfect
+        # tri-partition up to n = 16, arms listed by the walk
+        arms = {2: [(0, 0)]}
+        for length in range(3, 10):
+            arms[length] = list(polygons.iter_quiddities(length))
+        for n in range(3, 17):
+            for tp in perfect_tripartitions(n):
+                kept = similarity._type_choices(tp, arms)
+                assert sum(1 for _ in kept) == case_count(tp), tp
 
     def test_composition_respects_central_arc_counts(self):
         # every length-7 type arises from exactly one partition family

@@ -1,6 +1,6 @@
 """The sweep kernels against independent references.
 
-Formula K_n (on the cached ``_tsa``) and the brute force against a
+Formula K_n (on one list of Catalan numbers) and the brute force against a
 Burnside closed form, the orbit-counting brute K_n against the set of
 canonical forms and against the formula, its stabilizer orders against a
 count of the fixing dihedral images, ``canonical_form`` (one pass over

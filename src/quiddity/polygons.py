@@ -147,12 +147,21 @@ def from_quiddity(entries) -> Triangulation:
 
 def enumerate_triangulations(n: int, cap: int = None):
     """Yield every triangulation of the n-gon exactly once, in the order of iter_quiddities."""
-    check_sweep(n, cap)
     return map(from_quiddity, iter_quiddities(n, cap))
 
 
 def iter_quiddities(n: int, cap: int = None):
-    """Yield the quiddity sequence of every triangulation of the n-gon.
+    """An iterator over the quiddity sequence of every triangulation of the n-gon.
+
+    n and cap are checked (``check_sweep``) at the call, before the first
+    item is asked for; ``_odometer`` yields the sequences.
+    """
+    check_sweep(n, cap)
+    return _odometer(n)
+
+
+def _odometer(n: int):
+    """Yield the quiddity sequences of ``iter_quiddities``, n already checked.
 
     The apex recursion of the module docstring, without recursion.  A
     triangulation is the preorder list of its triangles, one frame
@@ -164,10 +173,8 @@ def iter_quiddities(n: int, cap: int = None):
     cons-lists ``(arc, tail)`` of the arcs that still follow in preorder.
     The vertex counts are updated in place and the state is O(n), which
     makes exhaustive sweeps over hundreds of thousands of triangulations
-    practical.  Being a generator, it checks n and cap (``check_sweep``)
-    only when the first item is asked for.
+    practical.
     """
-    check_sweep(n, cap)
     counts = [0] * n
     frames = []
     push = frames.append

@@ -20,10 +20,10 @@ Counting machinery:
   (m, m, 0) plus all i <= m-1 partitions when n = 2m, all i <= m
   partitions when n = 2m+1.  Gluing orbit data of the three (or two)
   sub-polygons yields a closed count N(i, j, k) per partition, and
-  K_n is the sum over all perfect tri-partitions.  ``count_types`` sums
-  the about n^2/12 partitions of three distinct arcs (case C) in closed
-  form and reads every T and S from one list of Catalan numbers, so K_n
-  costs O(n) big-int operations; ``perfect_tripartitions`` and
+  K_n is the sum over all perfect tri-partitions.  That sum closes case
+  by case (``_closed_sum``): ``count_types`` reads K_n off C_{n-2} and at
+  most four Catalan numbers of index below n/2, so it costs about one
+  ``math.comb`` of that size; ``perfect_tripartitions`` and
   ``case_count`` keep the sum term by term.
 * The same gluing, run over actual sequences instead of counts, enumerates
   one representative per type: arms glued from the 2-gon by the apex
@@ -51,7 +51,6 @@ slot and in any number: the formula holds for it unchanged.
 import functools
 import itertools
 import math
-import operator
 from collections import namedtuple
 
 from . import eta
@@ -148,24 +147,19 @@ def _describe(seq: tuple):
     return SeqClassification(period=period, category=category), orbit
 
 
-def _tsa_of(cat, length: int):
-    """(T, S, A) for sub-polygon counting, C_k read as cat(k); length 2 is the degenerate 2-gon."""
-    if length == 2:
-        return (1, 1, 0)
-    t = cat(length - 2)
-    s = 0 if length % 2 == 0 else cat((length - 1) // 2 - 1)
-    return (t, s, (t - s) // 2)
-
-
 @functools.lru_cache(maxsize=None)
 def _tsa(length: int):
-    """_tsa_of by ``catalan``, cached per length.
+    """(T, S, A) of the sub-polygon with ``length`` vertices; length 2 is the degenerate 2-gon.
 
-    ``case_count`` over all perfect tri-partitions asks for the same arc
-    lengths thousands of times, and the cache holds at most one int triple
-    per length up to n.  ``count_types`` reads a Catalan list instead.
+    Cached per length: ``case_count`` over all perfect tri-partitions asks
+    for the same arc lengths thousands of times, and the cache holds at
+    most one int triple per length up to n.
     """
-    return _tsa_of(catalan, length)
+    if length == 2:
+        return (1, 1, 0)
+    t = catalan(length - 2)
+    s = 0 if length % 2 == 0 else catalan((length - 1) // 2 - 1)
+    return (t, s, (t - s) // 2)
 
 
 def count_TSA(n: int):
@@ -228,53 +222,6 @@ def _tripartition(n: int, i: int, j: int, k: int) -> TriPartition:
     return TriPartition(i, j, k, case)
 
 
-def _tripartitions_with_equal_arcs(n: int):
-    """The perfect tri-partitions of n outside case C: a diameter or two equal arcs.
-
-    At most n/2 + 1 of them: the pair a, a and the third arc n - 2a, all
-    three at most top = (n - 1) // 2, the largest arc below n/2.
-    """
-    top = (n - 1) // 2
-    out = [TriPartition(n // 2, n // 2, 0, "A")] if n % 2 == 0 else []
-    for a in range(1, top + 1):
-        b = n - 2 * a
-        if 1 <= b <= top:
-            out.append(_tripartition(n, *((a, a, b) if b <= a else (b, a, a))))
-    return out
-
-
-def _catalans(n: int) -> list:
-    """C_0 .. C_{n-3}, each from the one before by one product and one division."""
-    cat = [1]
-    for k in range(n - 3):
-        cat.append(cat[-1] * (4 * k + 2) // (k + 2))
-    return cat
-
-
-def _case_c_total(n: int, cat: list) -> int:
-    """Sum of case_count over the case-C tri-partitions of n, in O(n) big-int operations.
-
-    An arc a carries t_a = C_{a-1} arms.  Over ordered triples of arcs
-    summing to n, sum t_a*t_b*t_c = [x^{n-3}] c(x)^3 = 3*binom(2n-3, n-3)/(2n-3)
-    for the Catalan series c(x).  At most one arc exceeds top = (n - 1) // 2,
-    and the triples with arc a > top in a given slot sum to t_a * C_{n-a-1},
-    so N, the sum over triples of arcs <= top, takes 3 times their sum off.
-    There a triple of distinct arcs is counted 6 times, one with two equal
-    arcs 3 times (sum P) and an equilateral one once (Q): C = (N - 3P - Q) / 6.
-    cat is ``_catalans(n)``.
-    """
-    top = (n - 1) // 2
-    ordered = 3 * math.comb(2 * n - 3, n - 3) // (2 * n - 3)
-    ordered -= 3 * sum(cat[a - 1] * cat[n - a - 1] for a in range(top + 1, n - 1))
-    pairs = 0
-    for a in range(1, top + 1):
-        b = n - 2 * a
-        if 1 <= b <= top and b != a:
-            pairs += cat[a - 1] ** 2 * cat[b - 1]
-    equilateral = cat[n // 3 - 1] ** 3 if n % 3 == 0 else 0
-    return (ordered - 3 * pairs - equilateral) // 6
-
-
 def case_count(tp: TriPartition) -> int:
     """Number of similarity types whose central structure has these arcs.
 
@@ -284,25 +231,67 @@ def case_count(tp: TriPartition) -> int:
     with the roles of the arms swapped, so ROADMAP.md's stabilizer rules
     for B, D and E are one rule too: t_pair*s_odd types have |Stab| = 2.
     """
-    return _case_count(tp, _tsa)
-
-
-def _case_count(tp: TriPartition, tsa) -> int:
-    """case_count(tp), with (T, S, A) of an arm of each length read from tsa(length)."""
-    ti, si, ai = tsa(tp.i + 1)
+    ti, si, ai = _tsa(tp.i + 1)
     if tp.case == "A":
         # Z2 x Z2 (swap the halves, reflect both) acting on ordered pairs
         return ai * (ai + 1) + ai * si + si * (si + 1) // 2
     if tp.case == "F":
         # dihedral D3 permutes the three equal arms
         return ti * (ti + 1) * (ti + 2) // 6 - ti * ai
-    tj = tsa(tp.j + 1)[0]
-    tk, sk, _ = tsa(tp.k + 1)
+    tj = _tsa(tp.j + 1)[0]
+    tk, sk, _ = _tsa(tp.k + 1)
     if tp.case == "C":
         return ti * tj * tk
     # B, D, E: arc j is in the pair, i = j (B, D) or j = k (E)
     t_odd, s_odd = (tk, sk) if tp.i == tp.j else (ti, si)
     return (t_odd * tj * tj + s_odd * tj) // 2
+
+
+def _closed_sum(n: int) -> int:
+    """The sum of ``case_count`` over the perfect tri-partitions of n, in closed form.
+
+    An arc a >= 2 carries the arms of the (a+1)-gon: t_a = C_{a-1} of them,
+    s_a = C_{a/2-1} reversal-fixed (0 for odd a).  With m = n // 2:
+
+    * Ordered triples of arcs summing to n carry sum t_a*t_b*t_c =
+      3*binom(2n-3, n-3)/(2n-3) = 3(n-2)*C_{n-2}/n, the coefficient of
+      x^{n-3} in the cube of the Catalan series.  At most one arc exceeds
+      (n-1)//2, and in a given slot such arcs carry ``tail``, the upper
+      half of the convolution sum C_{a-1}*C_{n-a-1} = C_{n-1} less its
+      term a = n-1: (C_{n-1} + [n even]*C_{m-1}^2)/2 - C_{n-2}.
+    * What is left counts each triple of distinct arcs (case C) six times,
+      each of arcs a, a, b three times and the equilateral one once.  B, D
+      and E add (t_b*t_a^2 + s_b*t_a)/2 each: their t_b*t_a^2 halves make
+      the three counts six, and ``pairs`` = sum s_b*t_a is left.  It is
+      C_{m-1} for odd n (B alone: s_b = 0 for odd b > 1, and 1 for the
+      2-gon) and for even n, where b is even, the lower half of the
+      convolution for C_{m-1}, less its term b = a at n/3.
+    * F adds 2t + 3ts at a = n/3, its count less the t^3/6 counted above,
+      and A its count at t = C_{m-1}, s = s_m.
+
+    So 6*K_n = ordered - 3*tail + F + 3*pairs + 6*A, from C_{n-2} and at
+    most four Catalan numbers of index below n/2.
+    """
+    if n == 3:
+        return 1  # the triangle is case B; F would count it again
+    m, even = n // 2, n % 2 == 0
+    c = catalan(n - 2)
+    t = catalan(m - 1)
+    s = catalan(m // 2 - 1) if even and m % 2 == 0 else 0
+    tail = (c * (4 * n - 6) // n + even * t * t) // 2 - c  # C_{n-1} = C_{n-2}*(4n-6)/n
+    if even:
+        pairs = (t - s * s) // 2
+        a = (t - s) // 2
+        diameter = a * (a + 1) + a * s + s * (s + 1) // 2
+    else:
+        pairs, diameter = t, 0
+    equilateral = 0
+    if n % 3 == 0:
+        t = catalan(n // 3 - 1)
+        s = catalan(n // 6 - 1) if even else 0
+        equilateral = 2 * t + 3 * t * s
+        pairs -= t * s
+    return (3 * (n - 2) * c // n - 3 * tail + equilateral + 3 * pairs + 6 * diameter) // 6
 
 
 def compose(a, b, c=None) -> tuple:
@@ -376,24 +365,19 @@ def _stabilizer_sum(quiddities, n: int) -> int:
 def count_types(n: int, method: str = "formula", cap: int = None) -> int:
     """K_n, the number of similarity types of length-n quiddity sequences.
 
-    ``formula`` is the sum of ``case_count`` over the perfect tri-partitions:
-    the O(n) of them with a diameter or two equal arcs term by term, and
-    case C in closed form (``_case_c_total``), so no list of the about
-    n^2/12 tri-partitions is built.  Both read T and S from one list of
-    Catalan numbers, built once per call.  ``brute`` counts orbits over all
+    ``formula`` is the paper's sum of ``case_count`` over the perfect
+    tri-partitions, closed case by case (``_closed_sum``): it reads C_{n-2}
+    and at most four smaller Catalan numbers, and builds no list of
+    tri-partitions or of Catalan numbers.  ``brute`` counts orbits over all
     triangulations by Burnside's lemma, K_n = sum of |Stab(q)| / 2n,
     without canonical forms.
     """
     if method == "formula":
         _check_n(n)
-        cat = _catalans(n)
-        tsa = functools.partial(_tsa_of, cat.__getitem__)
-        return _case_c_total(n, cat) + sum(_case_count(tp, tsa)
-                                           for tp in _tripartitions_with_equal_arcs(n))
+        return _closed_sum(n)
     if method == "brute":
         from . import polygons
 
-        check_sweep(n, cap)  # the generator checks n only at its first item
         return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)
     raise ValueError(f"method must be 'formula' or 'brute', got {method!r}")
 
@@ -418,17 +402,6 @@ def _reversals(arms: list) -> list:
     return [index[arm[::-1]] for arm in arms]
 
 
-# The symmetries of a central cell with three equal arcs (F) or a central
-# diameter (A), as (order, reversed): the image of a choice c of arm indices
-# is tuple(r[c[p]] if reversed else c[p] for p in order).  Reflecting the
-# polygon reverses the order of the arms and each arm.
-_CELL_SYMMETRIES = {
-    "A": (((1, 0), False), ((0, 1), True), ((1, 0), True)),
-    "F": (((1, 2, 0), False), ((2, 0, 1), False),
-          ((2, 1, 0), True), ((0, 2, 1), True), ((1, 0, 2), True)),
-}
-
-
 def _type_choices(tp: TriPartition, arms: dict):
     """One choice of arms for tp per type, case_count(tp) in all.
 
@@ -438,7 +411,11 @@ def _type_choices(tp: TriPartition, arms: dict):
     each orbit, with r the reversal map of a list.  C has no symmetry.  B
     and D, whose first two arms pair, keep x < r(y), or x = r(y) and
     z <= r(z); E, whose last two pair, keeps x < r(x), or x = r(x) and
-    y <= r(z).  A and F keep the index tuples least among their images.
+    y <= r(z).  A, whose orbits are {(x, y), (y, x), (r(x), r(y)),
+    (r(y), r(x))}, keeps the least pair of each: x <= y, x <= r(x) and
+    x <= r(y), and y <= r(y) when x = r(x).  F keeps the index triples
+    least among their images under the turns and reflections of the
+    triangle; reflecting reverses the order of the arms and each arm.
     """
     lists = [arms[p + 1] for p in tp.parts() if p]
     if tp.case == "C":
@@ -459,15 +436,19 @@ def _type_choices(tp: TriPartition, arms: dict):
                 yield from itertools.product((a,), pair, pair)
             elif x == r_odd[x]:
                 yield from ((a, b, c) for b, c in pairs_kept)
+    elif tp.case == "A":
+        arm, r = lists[0], _reversals(lists[0])
+        for x, a in enumerate(arm):
+            if x <= r[x]:
+                yield from ((a, arm[y]) for y in range(x, len(arm))
+                            if x <= r[y] and (x < r[x] or y <= r[y]))
     else:
         arm, r = lists[0], _reversals(lists[0])
-        images = [(operator.itemgetter(*order), rev) for order, rev in _CELL_SYMMETRIES[tp.case]]
-        # the swap (A) and the turns (F) bring any arm first: a least c starts with its least index
-        for x in range(len(arm)):
-            for c in itertools.product((x,), *[range(x, len(arm))] * (len(lists) - 1)):
-                rc = tuple([r[i] for i in c])
-                if all(c <= image(rc if rev else c) for image, rev in images):
-                    yield tuple([arm[i] for i in c])
+        for c in itertools.product(range(len(arm)), repeat=3):
+            x, y, z = c
+            if c == min(c, (y, z, x), (z, x, y), (r[z], r[y], r[x]), (r[x], r[z], r[y]),
+                        (r[y], r[x], r[z])):
+                yield (arm[x], arm[y], arm[z])
 
 
 def enumerate_types(n: int, cap: int = None):

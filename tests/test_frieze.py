@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiddity import eta, frieze, sl2
+from quiddity import eta, frieze, polygons, sl2
 from quiddity.errors import InvalidSequenceError, NotQuiddityError
 from strategies import quiddities, same_sum_sequences
 
@@ -118,6 +118,28 @@ def test_continuant_equals_frieze_cells(quiddities_by_n):
                 for j in range(n):
                     window = [q[(j + t) % n] for t in range(i - 1)]
                     assert frieze.continuant(window) == w.rows[i][j], (q, i, j)
+
+
+def matchings(vertices, triangles):
+    """Ways to match each vertex to a distinct triangle that touches it."""
+    if not vertices:
+        return 1
+    v, rest = vertices[0], vertices[1:]
+    return sum(matchings(rest, triangles - {t}) for t in triangles if v in t)
+
+
+def test_frieze_cells_count_matchings_of_vertices_to_triangles(quiddities_by_n):
+    # Broline, Crowe and Isaacs, Geometriae Dedicata 3 (1974): row i, column
+    # j counts the matchings of the i-1 vertices j, ..., j+i-2 to distinct
+    # triangles touching them, a count that rests on no continuant
+    for n in range(3, 10):
+        for q in quiddities_by_n[n]:
+            triangles = frozenset(polygons.triangles(polygons.from_quiddity(q)))
+            rows = frieze.generate_frieze(q).rows
+            for i in range(1, n + 1):
+                for j in range(n):
+                    vertices = [(j + t) % n for t in range(i - 1)]
+                    assert matchings(vertices, triangles) == rows[i][j], (q, i, j)
 
 
 def test_glide_rows(quiddities_by_n):

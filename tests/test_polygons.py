@@ -93,6 +93,17 @@ def test_enumeration_cap():
         list(polygons.iter_quiddities(20))
 
 
+def test_iter_quiddities_and_enumerate_triangulations_check_at_once():
+    # both refuse at the call, before any item is asked for
+    for sweep in (polygons.iter_quiddities, polygons.enumerate_triangulations):
+        for n in (2, 15):
+            with pytest.raises(ValueError, match=rf"^n={n} outside 3\.\.14 "):
+                sweep(n)
+        for n in (5.0, "7"):
+            with pytest.raises(InvalidSequenceError, match=f"^n must be an int, got {n!r}$"):
+                sweep(n)
+
+
 def recursive_triangulations(n):
     """The order oracle: diagonals by recursion on the apex of the base-edge triangle."""
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import pytest
@@ -326,10 +327,73 @@ def test_count_types_equals_the_sum_term_by_term():
         assert count_types(n) == sum(map(case_count, perfect_tripartitions(n))), n
 
 
-def test_tripartitions_with_equal_arcs_are_those_outside_case_c():
-    for n in range(3, 200):
-        others = [tp for tp in perfect_tripartitions(n) if tp.case != "C"]
-        assert sorted(similarity._tripartitions_with_equal_arcs(n)) == sorted(others), n
+class TestClosedSum:
+    """Each step that closes the sum of case_count, against its plain sum.
+
+    An arc a carries t_a arms, s_a of them reversal-fixed: the T and S of
+    the (a+1)-gon, with the 2-gon on an arc of one side.
+    """
+
+    @staticmethod
+    def ts(a):
+        return _tsa(a + 1)[:2]
+
+    def left_over(self, tp):
+        """s_b*t_a of a B, D or E tri-partition with arcs a, a, b."""
+        return self.ts(tp.k if tp.i == tp.j else tp.i)[1] * self.ts(tp.j)[0]
+
+    def test_the_lone_triangle_is_case_b_alone(self):
+        # its three arcs are equal, but it is counted once, as case B
+        assert perfect_tripartitions(3) == [(1, 1, 1, "B")]
+        assert count_types(3) == case_count(perfect_tripartitions(3)[0]) == 1
+
+    def test_ordered_triples_of_arcs(self):
+        # sum t_a*t_b*t_c over ordered arcs summing to n, read off C_{n-2}
+        for n in range(4, 121):
+            plain = sum(self.ts(a)[0] * self.ts(b)[0] * self.ts(n - a - b)[0]
+                        for a in range(1, n - 1) for b in range(1, n - a))
+            assert plain == 3 * math.comb(2 * n - 3, n - 3) // (2 * n - 3), n
+            assert plain == 3 * (n - 2) * catalan(n - 2) // n, n
+
+    def test_the_tail_is_the_upper_half_of_a_convolution(self):
+        # the ordered triples with an arc above (n-1)//2 in a given slot
+        for n in range(4, 401):
+            plain = sum(catalan(a - 1) * catalan(n - a - 1) for a in range((n - 1) // 2 + 1, n - 1))
+            upper = (catalan(n - 1) + (n % 2 == 0) * catalan(n // 2 - 1) ** 2) // 2
+            assert plain == upper - catalan(n - 2), n
+
+    def test_the_pair_terms_cancel(self):
+        # C counts a triple of distinct arcs 6 times in the ordered triples of
+        # arcs up to (n-1)//2, arcs a, a, b 3 times and a, a, a once; the
+        # t_b*t_a^2 halves of B, D and E make up the 3, so only their
+        # s_b*t_a halves are left over
+        for n in range(4, 201):
+            top = (n - 1) // 2
+            ordered = sum(self.ts(a)[0] * self.ts(b)[0] * self.ts(n - a - b)[0]
+                          for a in range(1, top + 1)
+                          for b in range(max(1, n - a - top), min(top, n - a - 1) + 1))
+            tail = sum(catalan(a - 1) * catalan(n - a - 1) for a in range(top + 1, n - 1))
+            assert ordered == 3 * (n - 2) * catalan(n - 2) // n - 3 * tail, n
+            paired =[tp for tp in perfect_tripartitions(n) if tp.case in "BDE"]
+            left_over = sum(map(self.left_over, paired))
+            distinct = sum(case_count(tp) for tp in perfect_tripartitions(n) if tp.case == "C")
+            equilateral = self.ts(n // 3)[0] ** 3 if n % 3 == 0 else 0
+            assert 6 * (distinct + sum(map(case_count, paired))) == \
+                ordered - equilateral + 3 * left_over, n
+
+    def test_the_left_over_pair_terms(self):
+        # sum s_b*t_a over B, D and E: B alone for odd n, and for even n the
+        # lower half of the convolution for C_{m-1}, less its term b = a
+        for n in range(4, 401):
+            plain = sum(self.left_over(tp) for tp in perfect_tripartitions(n) if tp.case in "BDE")
+            m = n // 2
+            if n % 2:
+                assert plain == catalan(m - 1), n
+                continue
+            lower = (catalan(m - 1) - (m % 2 == 0) * catalan(m // 2 - 1) ** 2) // 2
+            if n % 3 == 0:
+                lower -= catalan(n // 3 - 1) * catalan(n // 6 - 1)
+            assert plain == lower, n
 
 
 @pytest.mark.parametrize("k", [2.0, True, None, "3"])

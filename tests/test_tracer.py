@@ -8,13 +8,7 @@ not part of the package.
 
 import importlib
 import importlib.util
-import inspect
 from pathlib import Path
-
-import pytest
-
-from quiddity import polygons
-from quiddity.errors import InvalidSequenceError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,11 +31,3 @@ def test_every_traced_name_is_a_function_of_its_module():
     ]
     assert missing == []
 
-
-def test_iter_quiddities_is_a_generator_and_enumerate_triangulations_checks_at_once():
-    # the tracer times iter_quiddities per item only while it is a generator function,
-    # so the lazy map over it checks n before it is built
-    assert inspect.isgeneratorfunction(polygons.iter_quiddities)
-    for n in (5.0, "7"):
-        with pytest.raises(InvalidSequenceError, match=f"^n must be an int, got {n!r}$"):
-            polygons.enumerate_triangulations(n)

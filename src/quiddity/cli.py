@@ -1,46 +1,38 @@
 """Command-line front end.
 
 One process, one command, deterministic output: identical invocations give
-byte-identical text or JSON, so every command is golden-testable.  Exit
-codes: 0 success, 1 the input is mathematically rejected (not a quiddity
-sequence, not a positive tiling), 2 usage or malformed input.
+byte-identical text or JSON, so every command is golden-testable.  Exit codes:
+0 success, 1 the input is mathematically rejected (not a quiddity sequence, not
+a positive tiling), 2 usage or malformed input.  Sequences are comma-separated
+without spaces (``2,1,3,1,2``); words use ``S`` and ``U^k`` tokens joined by
+``*`` (``U^2*S*U*S``).
 
-Sequences are comma-separated without spaces (``2,1,3,1,2``); words use
-``S`` and ``U^k`` tokens joined by ``*`` (``U^2*S*U*S``).
+The subcommands are the rows of COMMANDS: name, handler, help line, arguments
+and the formats offered besides text and json.  A handler computes its answer
+and returns the JSON payload and a renderer (a zero-argument callable) per
+other format; ``verify`` adds its exit code.  ``main`` alone prints the
+requested format and turns errors into the ``error: ...`` line and exit code.
 
-The subcommands are the rows of COMMANDS: name, handler, help line,
-arguments and the formats offered besides text and json.  A handler
-computes its answer and returns the JSON payload and a renderer (a
-zero-argument callable) per other format; ``verify`` adds its exit code.
-``main`` alone prints the requested format and turns errors into the
-``error: ...`` line and exit code.
+Modules load per command: this module imports only ``sys`` and the exception
+types, and each handler imports the package modules it runs, so ``quiddity
+tiling`` never loads the similarity or polygon code, and a renderer that alone
+needs a module imports it itself (``types --format dot`` loads the polygon
+code, text ``types`` does not).  ``json`` loads only for ``--format json`` and
+for reading factor files.
 
-Modules load per command: this module imports only ``sys`` and the
-exception types, and each handler imports the package modules it runs, so
-``quiddity tiling`` never loads the similarity or polygon code, and a
-renderer that alone needs a module imports it itself (``types --format
-dot`` loads the polygon code, text ``types`` does not).  ``json``
-loads only for ``--format json`` and for reading factor files.
-
-A plain command line is read from the same COMMANDS rows without argparse
-(see ``_parse_plain``); argparse is imported only for the other lines: help,
-abbreviated options, ``--`` and every usage error, so it alone writes their
-text.
+``_parse`` reads every line from the rows as the standard library's parser does
+and writes usage, help and errors in that parser's 3.11 words at 80 columns,
+whatever the terminal.  It refuses with exit 2, before reading on, ``--``, an
+abbreviated option (``--met formula``) and ``-h`` with text glued on.
 """
 
 import sys
 from types import SimpleNamespace  # loaded at interpreter start
 
-from .errors import (
-    InconsistentFactorsError,
-    InvalidSequenceError,
-    NotAPositiveTilingError,
-    NotQuiddityError,
-)
+from .errors import (InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError,
+                     NotQuiddityError)
 
-EXIT_OK = 0
-EXIT_DOMAIN = 1
-EXIT_USAGE = 2
+EXIT_OK, EXIT_DOMAIN, EXIT_USAGE = 0, 1, 2
 
 DOMAIN_ERRORS = (NotQuiddityError, NotAPositiveTilingError, InconsistentFactorsError)
 
@@ -56,16 +48,6 @@ def _ints(text: str, count: int, message: str, sep: str = ",") -> tuple:
     return values
 
 
-def _dumps(payload) -> str:
-    import json  # loaded here, so text output never pays for it
-
-    return json.dumps(payload)
-
-
-def _flag(value: bool) -> str:
-    return str(value).lower()
-
-
 def cmd_verify(args):
     from . import eta, similarity
 
@@ -73,17 +55,13 @@ def cmd_verify(args):
     valid = eta.is_eta(seq)
     report = {"sequence": list(seq), "is_quiddity": valid, "n": len(seq),
               "period": None, "category": None, "canon": None, "orbit_size": None}
-    lines = [f"is_quiddity: {_flag(valid)}", f"n: {len(seq)}"]
+    lines = [f"is_quiddity: {str(valid).lower()}", f"n: {len(seq)}"]
     if valid:
         cls, orbit = similarity._describe(seq)  # one dihedral pass for both
         report.update(period=cls.period, category=cls.category,
                       canon=list(orbit.canon), orbit_size=orbit.orbit_size)
-        lines += [
-            f"period: {cls.period}",
-            f"category: {cls.category}",
-            f"canon: {eta.format_sequence(orbit.canon)}",
-            f"orbit_size: {orbit.orbit_size}",
-        ]
+        lines += [f"period: {cls.period}", f"category: {cls.category}",
+                  f"canon: {eta.format_sequence(orbit.canon)}", f"orbit_size: {orbit.orbit_size}"]
     return report, {"text": lambda: "\n".join(lines)}, EXIT_OK if valid else EXIT_DOMAIN
 
 
@@ -93,9 +71,8 @@ def cmd_frieze(args):
     seq = eta.parse_sequence(args.sequence)
     window = frieze.generate_frieze(seq)  # may raise NotQuiddityError with a cell
     if frieze.has_ones_row(window) != window.n - 1:
-        raise NotQuiddityError(
-            f"{eta.format_sequence(seq)} is not a quiddity sequence: no all-ones row at {window.n - 1}"
-        )
+        raise NotQuiddityError(f"{eta.format_sequence(seq)} is not a quiddity sequence: "
+                               f"no all-ones row at {window.n - 1}")
     payload = {"n": window.n, "rows": [list(r) for r in window.rows]}
     return payload, {"text": lambda: frieze.render_frieze(window)}
 
@@ -130,7 +107,8 @@ def cmd_supplement(args):
     supp = supplements.supplement(seq)
     valid = eta.is_eta(seq + supp)
     payload = {"input": list(seq), "supplement": list(supp), "concatenation_valid": valid}
-    text = f"{eta.format_sequence(supp)}\nconcatenation is a quiddity sequence: {_flag(valid)}"
+    text = (f"{eta.format_sequence(supp)}\n"
+            f"concatenation is a quiddity sequence: {str(valid).lower()}")
     return payload, {"text": lambda: text}
 
 
@@ -142,7 +120,7 @@ def cmd_extend(args):
     valid = eta.is_eta(result)
     payload = {"blocks": [list(b) for b in blocks], "quiddity": list(result), "valid": valid}
     text = (f"{eta.format_sequence(result)}\n"
-            f"valid quiddity sequence of length {len(result)}: {_flag(valid)}")
+            f"valid quiddity sequence of length {len(result)}: {str(valid).lower()}")
     return payload, {"text": lambda: text}
 
 
@@ -153,11 +131,8 @@ def cmd_reduce(args):
     order = sl2.element_order(matrix)
     form = sl2.ts_normal_form(matrix)
     payload = {"matrix": matrix.rows(), "order": order, "normal_form": str(form)}
-    return payload, {"text": lambda: "\n".join([
-        f"matrix: {matrix}",
-        f"order: {order if order is not None else 'infinite'}",
-        f"normal_form: {form}",
-    ])}
+    return payload, {"text": lambda: f"matrix: {matrix}\norder: "
+                     f"{order if order is not None else 'infinite'}\nnormal_form: {form}"}
 
 
 def cmd_tree(args):
@@ -165,9 +140,8 @@ def cmd_tree(args):
 
     seq = eta.parse_sequence(args.sequence)
     t = polygons.from_quiddity(seq)
-    root = None
-    if args.root is not None:
-        root = _ints(args.root, 2, f"--root wants 'u,v', got {args.root!r}")
+    message = f"--root wants 'u,v', got {args.root!r}"
+    root = None if args.root is None else _ints(args.root, 2, message)
     tree = polygons.to_dual_tree(t, root_side=root)
     payload = t.to_json_dict()
     payload["tree"] = polygons.bracket(tree)
@@ -226,16 +200,17 @@ def cmd_tiling(args):
         if not (args.seed and args.kfile and args.lfile):
             raise InvalidSequenceError("need --seed, --kfile and --lfile (or --formula-paper)")
         a, b, c, d = _ints(args.seed, 4, f"--seed wants 'a,b,c,d', got {args.seed!r}")
-        window = tiling.generate_tiling(
-            ((a, b), (c, d)), _load_factors(args.kfile), _load_factors(args.lfile), i0, i1, j0, j1
-        )
+        window = tiling.generate_tiling(((a, b), (c, d)), _load_factors(args.kfile),
+                                        _load_factors(args.lfile), i0, i1, j0, j1)
     payload = {"i0": window.i0, "i1": window.i1, "j0": window.j0, "j1": window.j1,
                "positive": window.is_positive, "values": [list(r) for r in window.values]}
     return payload, {"text": window.render}
 
 
 def _arg(*flags, **options):
-    return flags, options
+    """(flags, options) of an argument, with an option's dest; an optional one gives a default."""
+    dest = {"dest": flags[-1][2:].replace("-", "_")} if flags[0][0] == "-" else {}
+    return flags, {**dest, **options}
 
 
 SEQUENCE = _arg("sequence")
@@ -246,138 +221,163 @@ COMMANDS = (
     ("verify", cmd_verify, "test a sequence and classify it", [SEQUENCE], ()),
     ("frieze", cmd_frieze, "print the frieze pattern of a quiddity sequence", [SEQUENCE], ()),
     ("count", cmd_count, "count similarity types K_n", [
-        SIZE,
-        _arg("--method", choices=("formula", "brute"), default="formula"),
-        _arg("--cap", type=int, default=None, help="override the brute-force cap"),
-    ], ()),
+        SIZE, _arg("--method", choices=("formula", "brute"), default="formula"),
+        _arg("--cap", type=int, default=None, help="override the brute-force cap")], ()),
     ("types", cmd_types, "list one representative per similarity type",
      [SIZE, _arg("--cap", type=int, default=None)], ("dot",)),
     ("supplement", cmd_supplement, "supplement of a basic sequence", [SEQUENCE], ()),
     ("extend", cmd_extend, "extend super-basic blocks to a quiddity sequence",
      [_arg("blocks", nargs="+", help="sequences, optionally separated by +")], ()),
     ("reduce", cmd_reduce, "evaluate an S/U word: matrix, order, normal form", [_arg("word")], ()),
-    ("tree", cmd_tree, "triangulation and dual tree of a quiddity sequence", [
-        SEQUENCE,
-        _arg("--root", default=None, help="root side as 'u,v' (default: n-1,0)"),
-    ], ("dot",)),
+    ("tree", cmd_tree, "triangulation and dual tree of a quiddity sequence",
+     [SEQUENCE, _arg("--root", default=None, help="root side as 'u,v' (default: n-1,0)")],
+     ("dot",)),
     ("tiling", cmd_tiling, "fill a positive SL2-tiling window", [
         _arg("--seed", default=None, help="2x2 seed 'a,b,c,d' at cells (0..1, 0..1)"),
         _arg("--kfile", default=None, help="JSON file of column factors {j: k_j}"),
         _arg("--lfile", default=None, help="JSON file of row factors {i: l_i}"),
         _arg("--window", required=True, help="'i0:i1,j0:j1' inclusive"),
-        _arg("--formula-paper", action="store_true", dest="formula_paper",
-             help="use the built-in closed-form tiling instead of seed+factors"),
-    ], ()),
+        _arg("--formula-paper", action="store_true", default=False,
+             help="use the built-in closed-form tiling instead of seed+factors")], ()),
 )
 
 
-def build_parser():
-    import argparse  # only for lines that _parse_plain declines
-
-    parser = argparse.ArgumentParser(
-        prog="quiddity",
-        description="Frieze patterns, quiddity sequences and their similarity types.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text, arguments, formats in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.add_argument("--format", choices=("text", "json") + formats, default="text")
-        p.set_defaults(func=handler)
-    return parser
-
-
 _ROWS = {row[0]: row for row in COMMANDS}
+_HELP = _arg("-h", "--help", action="help", help="show this help message and exit")
+_TOP = [_HELP, _arg("command", choices=tuple(_ROWS), nargs="...")]  # "...": it reads the rest
+DESCRIPTION = "Frieze patterns, quiddity sequences and their similarity types."
 
 
-def _parse_plain(argv):
-    """argparse's namespace for a plain command line, or None to leave the line to argparse.
+def _texts(prog, arguments):
+    """(usage, help) of ``prog``, worded and wrapped as the standard parser writes them."""
+    def fill(words, line, indent):  # break before a word that would pass column 78
+        lines = []
+        for word in words:
+            if len(line) + 1 + len(word) > 78 and line.strip():
+                lines, line = lines + [line], " " * (indent - 1)
+            line += " " + word
+        return lines + [line] if line.strip() else lines
 
-    Plain means: the command name first; long options by their exact names,
-    as ``--opt value``, ``--opt=value`` or a flag without ``=``, each at most
-    once; every value passes the row's ``type`` and ``choices``, and one
-    given as its own token does not start with ``-``; the positionals form
-    one run of the row's count; and every required option is present.
-    argparse gives each such line the same namespace.
-    """
-    row = _ROWS.get(argv[0]) if argv else None
-    if row is None:
-        return None
-    name, handler, _, arguments, formats = row
-    options = {"--format": ("format", {"choices": ("text", "json") + formats, "default": "text"})}
-    positional = None
-    for (flag,), spec in arguments:
-        if flag.startswith("-"):
-            options[flag] = (spec.get("dest", flag[2:].replace("-", "_")), spec)
-        else:
-            positional = flag, spec.get("nargs")
-    values = {"command": name, "func": handler}
-    run, closed = [], False  # positionals so far; whether an option followed them
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if not token.startswith("-"):
-            if closed:
-                return None
-            run.append(token)
+    def entry(head, text):  # the help text from column 24, below a longer head
+        start = [head, " " * 23] if len(head) > 22 else [head.ljust(23)]
+        return start[:-1] + fill(text.split(), start[-1], 24) if text else [head]
+
+    opts, pos, sections = [], [], {"positional arguments:": [], "options:": []}
+    for flags, spec in arguments:
+        meta = spec.get("dest", flags[0])
+        meta = "{%s}" % ",".join(spec["choices"]) if "choices" in spec else meta
+        if flags[0][0] == "-":
+            meta = "" if "action" in spec else " " + (meta if "choices" in spec else meta.upper())
+            opts += (flags[0] + meta).split() if spec.get("required") else [f"[{flags[0]}{meta}]"]
+            sections["options:"] += entry("  " + ", ".join(flags) + meta, spec.get("help"))
             continue
-        closed = bool(run)
-        flag, eq, value = token.partition("=")
-        if flag not in options or options[flag][0] in values:
-            return None
-        dest, spec = options[flag]
-        if spec.get("action") == "store_true":
-            if eq:
-                return None
-            values[dest] = True
-            continue
-        if not eq:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
+        nargs = spec.get("nargs")
+        pos += [meta] + {"+": [f"[{meta} ...]"], "...": ["..."]}.get(nargs, [])
+        sections["positional arguments:"] += entry("  " + meta, spec.get("help")) + [
+            line for row in COMMANDS if nargs == "..." for line in entry("    " + row[0], row[2])]
+    usage = " ".join(["usage:", prog, *opts, *pos])
+    if len(usage) > 78:  # the options, then the positionals, each wrapped below the name
+        indent = len(prog) + 8
+        usage = "\n".join(fill(opts, "usage: " + prog, indent)
+                          + fill(pos, " " * (indent - 1), indent))
+    blocks = [usage] + [DESCRIPTION] * (prog == "quiddity") + [
+        head + "\n" + "\n".join(lines) for head, lines in sections.items() if lines]
+    return usage, "\n\n".join(blocks) + "\n"
+
+
+def _read(prog, arguments, tokens, values):
+    """Fill ``values`` from ``tokens`` as the standard parser would; return the extras."""
+    def fail(message):
+        sys.stderr.write(f"{_texts(prog, arguments)[0]}\n{prog}: error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+    def check(flags, spec, text):  # the type and choices checks
+        name, kind, choices = "/".join(flags), spec.get("type", str), spec.get("choices")
         try:
-            value = spec["type"](value) if "type" in spec else value
+            text = kind(text)
         except ValueError:
-            return None
-        if value not in spec.get("choices", (value,)):
-            return None
-        values[dest] = value
-    if positional is None:
-        if run:
-            return None
-    elif positional[1] == "+":
-        if not run:
-            return None
-        values[positional[0]] = run
-    elif len(run) != 1:
-        return None
-    else:
-        values[positional[0]] = run[0]
-    for dest, spec in options.values():
-        if dest not in values:
-            if spec.get("required"):
-                return None
-            values[dest] = spec.get("default", False if "action" in spec else None)
+            fail(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+        if choices and text not in choices:
+            listed = ", ".join(map(repr, choices))
+            fail(f"argument {name}: invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    def value(token):  # the standard rule: no option, or a negative number or text with a space
+        return token.partition("=")[0] not in options and (len(token) < 2 or token[0] != "-"
+            or " " in token or token[1:].replace(".", "", 1).isdecimal() and token[-1] != ".")
+
+    options = {flag: (flags, spec) for flags, spec in arguments if flags[0][0] == "-"
+               for flag in flags}
+    positional = next(((flags, spec) for flags, spec in arguments if flags[0][0] != "-"), None)
+    nargs, extras, run, closed = positional and positional[1].get("nargs"), [], [], False
+    values.update((spec["dest"], spec["default"]) for _, spec in arguments if "default" in spec)
+    for token in tokens:  # refused before anything is read, as 3.11 refuses an ambiguous option
+        flag = token.partition("=")[0]
+        if flag not in options and (flag[:2] == "-h" or flag[:2] == "--"
+                                    and any(name.startswith(flag) for name in options)):
+            fail(f"{flag} is not read: write options in full, values starting with - as --opt=value")
+        if nargs == "..." and value(token):
+            break
+    tokens = iter(tokens)
+    for token in tokens:
+        if value(token) and positional and not (run and (closed or nargs != "+")):
+            run.append(check(*positional, token))
+            values[positional[0][0]] = run if nargs == "+" else run[0]
+            if nargs == "...":  # the command reads the rest of the line
+                name, values["func"], _, rows, formats = _ROWS[token]
+                fmt = _arg("--format", choices=("text", "json") + formats, default="text")
+                extras += _read(f"{prog} {name}", [_HELP, *rows, fmt], list(tokens), values)
+            continue
+        flag, eq, text = token.partition("=")
+        closed = bool(run)
+        if flag not in options:
+            extras.append(token)
+            continue
+        flags, spec = options[flag]
+        action = spec.get("action")
+        if action and eq:
+            fail(f"argument {'/'.join(flags)}: ignored explicit argument {text!r}")
+        if action == "help":
+            sys.stdout.write(_texts(prog, arguments)[1])
+            raise SystemExit(EXIT_OK)
+        if not (action or eq or value(text := next(tokens, "--"))):
+            fail(f"argument {'/'.join(flags)}: expected one argument")
+        values[spec["dest"]] = True if action else check(flags, spec, text)
+    missing = ["/".join(flags) for flags, spec in arguments if spec.get("dest", flags[0])
+               not in values and spec.get("required", flags[0][0] != "-")]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    if extras and nargs == "...":
+        fail("unrecognized arguments: " + " ".join(extras))
+    return extras
+
+
+def _parse(argv):
+    """The namespace of a command line; help and errors are written, then SystemExit."""
+    values = {}
+    _read("quiddity", _TOP, list(argv), values)
     return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_plain(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if type(exc.code) is int else EXIT_USAGE
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:
+        return exc.code
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (no limit) before 3.10.7
     try:
         payload, renderers, *code = args.func(args)
-        text = _dumps(payload) if args.format == "json" else renderers[args.format]()
-    except DOMAIN_ERRORS as exc:
+        if digits:  # the input was read under Python's limit; the answer may pass it
+            sys.set_int_max_str_digits(0)
+        if args.format == "json":
+            import json  # loaded here, so text output never pays for it
+        text = json.dumps(payload) if args.format == "json" else renderers[args.format]()
+    except (*DOMAIN_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DOMAIN if isinstance(exc, DOMAIN_ERRORS) else EXIT_USAGE
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     sys.stdout.write(text + "\n")
     return code[0] if code else EXIT_OK
 

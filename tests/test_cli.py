@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -124,6 +125,26 @@ def test_count_brute_json(capsys):
     code, out, _ = run(capsys, "count", "--n", "8", "--method", "brute", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"n": 8, "method": "brute", "K": 12}
+
+
+def test_count_prints_k_past_the_int_digit_limit(capsys):
+    # K_7162 has 4 301 digits, more than Python turns into text by default: main lifts
+    # the limit for its output only and restores it, and an --n that long is refused
+    from test_sweeps import burnside_k
+
+    k, limit = burnside_k(7162), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        text = run(capsys, "count", "--n", "7162")
+        as_json = run(capsys, "count", "--n", "7162", "--format", "json")
+        huge_n = run(capsys, "count", "--n", "9" * 5000)
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert text == (0, f"K={k}\n", "")
+        assert as_json == (0, json.dumps({"n": 7162, "method": "formula", "K": k}) + "\n", "")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert huge_n[0] == 2 and "argument --n: invalid int value" in huge_n[2]
 
 
 def test_count_over_cap(capsys):
@@ -496,26 +517,75 @@ def test_import_budget_per_command():
     assert package_modules(dot_modules) == {"cli", "errors", "eta", "polygons", "similarity"}
 
 
-# -- the plain parser ---------------------------------------------------------
+# -- the parser, with argparse as its oracle ----------------------------------
 
-def argparse_namespace(argv):
-    """vars() of argparse's namespace for argv, or None where argparse exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def build_argparse():
+    """argparse's parser for the COMMANDS rows: the oracle the CLI's own parser follows."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="quiddity", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, arguments, formats in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.add_argument("--format", choices=("text", "json") + formats, default="text")
+        p.set_defaults(func=handler)
+    return parser
+
+
+def outcome(parse, argv):
+    """(exit code, vars() of the namespace or None, stdout, stderr) of ``parse(argv)``,
+    on an 80-column terminal, argparse's wrap width in the goldens."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
-            return vars(cli.build_parser().parse_args(argv))
-        except SystemExit:
-            return None
+            code, namespace = cli.EXIT_OK, vars(parse(list(argv)))
+        except SystemExit as exc:
+            code, namespace = exc.code, None
+    return code, namespace, out.getvalue(), err.getvalue()
+
+
+def is_refusal(argv):
+    """Whether argv holds a token the parser refuses by decision (see ``cli._parse``):
+    ``--``, an abbreviated long option, or ``-h`` with text glued on."""
+    row = next((cli._ROWS[token] for token in argv if token in cli._ROWS), None)
+    names = {"-h", "--help", "--format"} | {name for flags, _ in (row[3] if row else ())
+                                             for name in flags}
+    for token in argv:
+        flag = token.partition("=")[0]
+        if flag not in names and (flag.startswith("-h") or flag.startswith("--")
+                                  and any(name.startswith(flag) for name in names)):
+            return True
+    return False
+
+
+def check_against_argparse(argv):
+    """The parser gives argparse's exit code and namespace, and on 3.10-3.12 its bytes
+    too; or it refuses a line that holds a refusal, with exit 2, the usage and one
+    error line, whatever argparse does with it."""
+    code, namespace, out, err = outcome(cli._parse, argv)
+    if " is not read: " in err:
+        assert is_refusal(argv), argv
+        assert (code, namespace, out) == (cli.EXIT_USAGE, None, ""), argv
+        assert err.startswith("usage: quiddity") and err.count(": error: ") == 1, argv
+        return
+    want = outcome(build_argparse().parse_args, argv)
+    assert (code, namespace) == want[:2], argv
+    if sys.version_info < (3, 13):  # 3.13 rewords and rewraps some of these texts
+        assert (out, err) == want[2:], argv
 
 
 OPTION_NAMES = sorted(
     {flag for *_, arguments, _ in COMMANDS for (flag,), _ in arguments if flag.startswith("-")}
-    | {"--format", "--form", "--fo", "--wind", "--help", "-h", "-n", "--"}
+    | {"--format", "--form", "--fo", "--wind", "--help", "-h", "-n", "--", "--he", "-hx"}
 )
 VALUES = ["5", "12", "abc", "", " 7", "+4", "5_0", "-3", "-", "formula", "brute", "magic",
           "text", "json", "dot", "svg", "2,1,3,1,2", "1,3,3", "+", "U^2*S", "-2:2,-2:2",
-          "0:1,0:1", "a b", "-1 0", "x=y", "0,4"]
+          "0:1,0:1", "a b", "-1 0", "x=y", "0,4", "-2.5", "-.5", "-5.", "tree"]
 # values each option may take, and some it may not
-OPTION_VALUES = {"--n": ["5", " 7", "+4", "1_2", "x"], "--cap": ["9", "0"],
+OPTION_VALUES = {"--n": ["5", " 7", "+4", "1_2", "x", "-5"], "--cap": ["9", "0"],
                  "--method": ["formula", "brute", "magic"], "--format": ["text", "json", "dot", "svg"],
                  "--root": ["0,4", "", "a,b"], "--seed": ["2,3,3,5"], "--kfile": ["k.json"],
                  "--lfile": ["l.json"], "--window": ["-2:2,-2:2", "0:1,0:1"]}
@@ -525,7 +595,7 @@ OPTION_VALUES = {"--n": ["5", " 7", "+4", "1_2", "x"], "--cap": ["9", "0"],
 def command_lines(draw):
     """A working line of a command (or none) with up to three pieces inserted at one
     place: an option alone, with a value, as option=value, or a value alone."""
-    base = draw(st.sampled_from([*BUDGET_ARGV.values(), ["nosuch"], ["--help"]]))
+    base = draw(st.sampled_from([*BUDGET_ARGV.values(), ["nosuch"], ["--help"], ["-x"]]))
     row = cli._ROWS.get(base[0])
     own = ["--format"] + [flag for (flag,), _ in row[3] if flag.startswith("-")] if row else ["-h"]
     pieces = []
@@ -551,22 +621,49 @@ def command_lines(draw):
 @example(["extend", "--format", "json", "1,3,3", "+", "1,3,4"])
 @example(["tree", "1,2,2,1,3", "--root", ""])
 @example(["count", "--n", " 7", "--cap=5_0", "--method=brute"])
+@example(["count", "--n", "7", "x", "--y", "z"])
+@example(["-x", "verify", "1,1,1", "y"])
+@example(["tiling", "--help", "--form"])
+@example(["verify", "a", "b", "--help"])
 def test_plain_parser_gives_argparse_namespace_or_declines(argv):
-    plain = cli._parse_plain(argv)
-    if plain is not None:
-        assert vars(plain) == argparse_namespace(argv)  # and argparse did not exit
+    check_against_argparse(argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify"], ["verify", "1,2,3", "1,2,3"], ["verify", "-1,2"], ["verify", "--", "1,1,1"],
-    ["count", "--n", "5", "--n", "6"], ["count", "--n", "-5"], ["count", "--n=x"],
-    ["count", "--method", "brute"], ["count", "--n", "5", "--fo", "json"],
-    ["tiling", "--formula-paper=1", "--window=0:1,0:1"], ["tiling", "--formula-paper"],
-    ["extend", "1,3,3", "--format", "json", "1,3,4"], ["types", "--n", "7", "--format", "svg"],
-    ["types", "--n", "7", "--help"], ["nosuch"], [],
-])
+# How the parser reads what argparse reads in its own way.  "refused": exit 2, the
+# usage and one error line.  "read": as argparse reads it.
+# - "--" only lets a value start with "-", and no command takes such a positional.
+# - An abbreviation would change meaning when an option is added; argparse 3.11
+#   also refuses an ambiguous one before it reads anything, 3.13 where it stands.
+# - "-h" with text glued on is an error on 3.11 and help on 3.13.
+# - -h and --help print help where they stand; an option given twice keeps its
+#   last value; a negative number is a value; COLUMNS is not read (80 columns).
+DECISIONS = {
+    ("verify", "--", "1,1,1"): "refused",
+    ("count", "--n", "--", "5"): "refused",
+    ("count", "--n", "5", "--fo", "json"): "refused",
+    ("count", "--met", "formula", "--n", "5"): "refused",
+    ("tiling", "--formula-paper", "--wind=0:1,0:1"): "refused",
+    ("tiling", "--help", "--form", "json"): "refused",
+    ("count", "--he"): "refused",
+    ("count", "--n", "5", "-hx"): "refused",
+    ("count", "--n", "5", "--n", "6"): "read",
+    ("count", "--n", "-5"): "read",
+    ("tree", "1,2,2,1,3", "--root", "-1 0"): "read",
+    ("verify", "-1,2"): "read",
+    ("count", "--n", "5", "-h"): "read",
+    ("count", "-h", "--n", "x"): "read",
+    ("count", "--n", "x", "--help"): "read",
+    ("tiling", "--formula-paper=1", "--window=0:1,0:1"): "read",
+    ("extend", "1,3,3", "--format", "json", "1,3,4"): "read",
+    ("tiling", "--window", "-2:2,-2:2"): "read",
+}
+
+
+@pytest.mark.parametrize("argv", [list(line) for line in DECISIONS])
 def test_plain_parser_declines_what_it_does_not_read(argv):
-    assert cli._parse_plain(argv) is None
+    check_against_argparse(argv)
+    refused = " is not read: " in outcome(cli._parse, argv)[3]
+    assert refused == (DECISIONS[tuple(argv)] == "refused")
 
 
 def load_workloads(monkeypatch):
@@ -579,46 +676,44 @@ def load_workloads(monkeypatch):
 
 
 def test_every_cli_benchmark_command_is_a_plain_line(monkeypatch):
-    # the cli workload's processes take the plain parser, not argparse
+    # every line of the cli workload is read, and read as argparse reads it
     workloads = load_workloads(monkeypatch)
     files = {"{kfile}": "k.json", "{lfile}": "l.json"}
     for seed in range(1, 11):
         ops, _ = workloads.generate("cli", seed)
         for op in ops:
             argv = [files.get(token, token) for token in op["argv"]]
-            plain = cli._parse_plain(argv)
-            assert plain is not None, argv
-            assert vars(plain) == argparse_namespace(argv), argv
+            code, namespace, _, _ = outcome(cli._parse, argv)
+            assert code == 0 and namespace is not None, argv
+            assert not is_refusal(argv), argv
+            assert namespace == outcome(build_argparse().parse_args, argv)[1], argv
 
 
-ARGPARSE_PROBE = """
-import contextlib, io, sys
+GOLDEN_PROBE = """
+import contextlib, io, json, sys
 from quiddity.cli import main
 
-out, err = io.StringIO(), io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = main(sys.argv[1:])
-print(repr([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps([results, "argparse" in sys.modules]))
 """
 
 
-def run_probe(argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
-    proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE, *argv], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60, check=True)
-    return ast.literal_eval(proc.stdout)
+def test_plain_lines_never_load_argparse_and_others_print_its_text(tmp_path):
+    # every golden line, help and errors included, in one fresh interpreter on a
+    # 40-column terminal: the bytes are the goldens' and argparse is never loaded
+    from test_cli_golden import GOLDEN, write_factor_files
 
-
-def test_plain_lines_never_load_argparse_and_others_print_its_text():
-    for argv in BUDGET_ARGV.values():
-        for line in (argv, argv + ["--format", "json"]):
-            code, out, _, loaded = run_probe(line)
-            assert (code, loaded) == (0, False), line
-            assert out
-    golden = {tuple(g["argv"]): g for g in
-              json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))}
-    for argv in (["count", "--help"], ["count", "--n", "abc"]):
-        code, out, err, loaded = run_probe(argv)
-        want = golden[tuple(argv)]
-        assert loaded, argv
-        assert (code, out, err) == (want["code"], want["stdout"], want["stderr"]), argv
+    write_factor_files(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "40"}
+    proc = subprocess.run([sys.executable, "-c", GOLDEN_PROBE], input=json.dumps(
+        [g["argv"] for g in golden]), env=env, cwd=tmp_path, capture_output=True, text=True,
+        timeout=300, check=True)
+    results, loaded = json.loads(proc.stdout)
+    assert not loaded
+    assert results == [[g["argv"], g["code"], g["stdout"], g["stderr"]] for g in golden]

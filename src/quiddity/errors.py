@@ -12,8 +12,9 @@ formatted only on refusal, so a check in a loop costs one call.
 
 Every exhaustive sweep of the package runs only for 3 <= n <= SWEEP_CAP
 unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
-``check_sweep`` is the one range check, here so that a sweep that builds
-its polygons without :mod:`quiddity.polygons` need not load it.
+``check_sweep`` is the one range check, here so that no sweep loads
+:mod:`quiddity.polygons` for it.  A supplement of more than SUPPLEMENT_CAP
+entries is refused before it is built.
 """
 
 
@@ -28,6 +29,9 @@ def _check_int(value, what: str, *where) -> None:
 
 
 SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
+# Longest supplement built: supplement((1, 10**6)) takes about 0.1 s and the
+# CLI's supplement 1,1000000 about 0.5 s (Python 3.11).
+SUPPLEMENT_CAP = 1_000_000
 
 
 def check_sweep(n: int, cap: int = None) -> None:

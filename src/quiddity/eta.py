@@ -17,12 +17,18 @@ The package's one fold of such words, ``_word_product``, lives here, so
 ``is_eta`` runs without loading :mod:`quiddity.sl2`; ``sl2.word_product``
 is the same function, and ``word_matrix`` loads ``sl2`` when called.
 
+The package's one walk over all C_{n-2} triangulations (Catalan) lives
+here too: ``iter_quiddities`` yields their quiddity sequences by recursion
+on the apex of the triangle on the side (n-1, 0), apex increasing, left
+sub-polygon first, run on an explicit stack (``_odometer``).  Every
+exhaustive sweep takes it, and ``check_sweep`` bounds its n.
+
 Sequences are plain tuples of ints everywhere; every public function
 validates shape (length >= 3, int entries >= 1) and raises
 InvalidSequenceError otherwise.
 """
 
-from .errors import ContractionError, InvalidSequenceError, _check_int
+from .errors import ContractionError, InvalidSequenceError, _check_int, check_sweep
 
 
 def as_sequence(entries, min_length: int = 3) -> tuple:
@@ -109,6 +115,62 @@ def _clip_ears(seq: tuple):
         if counts[v] == 1:
             ears.append(v)
     return diagonals
+
+
+def iter_quiddities(n: int, cap: int = None):
+    """An iterator over the quiddity sequence of every triangulation of the n-gon.
+
+    n and cap are checked (``check_sweep``) at the call, before the first
+    item is asked for; ``_odometer`` yields the sequences.
+    """
+    check_sweep(n, cap)
+    return _odometer(n)
+
+
+def _odometer(n: int):
+    """Yield the quiddity sequences of ``iter_quiddities``, n already checked.
+
+    The apex recursion of the module docstring, without recursion.  A
+    triangulation is the preorder list of its triangles, one frame
+    ``(lo, hi, apex, rest)`` per arc of two or more sides, and the order
+    is lexicographic in the apexes.  Each step is an odometer move: pop
+    the frames whose apex is at ``hi - 1``, move the last apex one step,
+    and complete the pending arcs with their first triangulations, the
+    fans ``(k, k + 1, hi)``.  ``pending`` and each frame's ``rest`` are
+    cons-lists ``(arc, tail)`` of the arcs that still follow in preorder.
+    The vertex counts are updated in place and the state is O(n), which
+    makes exhaustive sweeps over hundreds of thousands of triangulations
+    practical.
+    """
+    counts = [0] * n
+    frames = []
+    push = frames.append
+    pop = frames.pop
+    pending = ((0, n - 1), None)
+    while True:
+        while pending is not None:
+            (lo, hi), pending = pending
+            for k in range(lo, hi - 1):
+                push((k, hi, k + 1, pending))
+                counts[k] += 1
+                counts[k + 1] += 1
+            counts[hi] += hi - lo - 1
+        yield tuple(counts)
+        while frames:
+            lo, hi, apex, rest = pop()
+            counts[apex] -= 1
+            if apex < hi - 1:
+                break
+            counts[lo] -= 1
+            counts[hi] -= 1
+        else:
+            return
+        apex += 1
+        counts[apex] += 1
+        push((lo, hi, apex, rest))
+        if hi - apex >= 2:
+            rest = ((apex, hi), rest)
+        pending = ((lo, apex), rest) if apex - lo >= 2 else rest
 
 
 def rotate(entries, k: int = 1) -> tuple:

@@ -21,15 +21,10 @@ and ``)``, ``tree_to_dot`` names a triangle at its first visit and joins
 it to its children at its last, and ``leaf_count`` and ``internal_count``
 count sides and triangles.
 
-Exhaustive enumeration of all triangulations (there are C_{n-2} of them,
-Catalan) is one deterministic walk, the ``iter_quiddities`` odometer:
-recursion on the apex of the triangle resting on the base edge, apex
-increasing, left sub-polygon before right, run on an explicit stack.  Every
-exhaustive sweep of the package, here and in :mod:`quiddity.similarity`,
-runs only for 3 <= n <= SWEEP_CAP unless its ``cap=`` argument (the CLI's
-``--cap``) raises the cap; ``check_sweep`` is the one range check.  Both
-live in :mod:`quiddity.errors` and are imported here, so
-``polygons.SWEEP_CAP`` and ``polygons.check_sweep`` keep working.
+All C_{n-2} triangulations (Catalan) come from the one walk,
+``eta.iter_quiddities``: ``enumerate_triangulations`` maps ``from_quiddity``
+over it.  The walk, ``SWEEP_CAP`` and ``check_sweep`` are imported here, so
+their ``polygons.`` names keep working.
 
 A given triangulation is read by one pass, that of ``to_dual_tree``: over
 the sides in order, it joins the top two subtrees at each chord's larger
@@ -46,6 +41,7 @@ from collections import namedtuple
 
 from . import eta
 from .errors import SWEEP_CAP, InvalidSequenceError, NotQuiddityError, _check_int, check_sweep
+from .eta import iter_quiddities
 
 
 class Triangulation(namedtuple("Triangulation", "n diagonals")):
@@ -148,62 +144,6 @@ def from_quiddity(entries) -> Triangulation:
 def enumerate_triangulations(n: int, cap: int = None):
     """Yield every triangulation of the n-gon exactly once, in the order of iter_quiddities."""
     return map(from_quiddity, iter_quiddities(n, cap))
-
-
-def iter_quiddities(n: int, cap: int = None):
-    """An iterator over the quiddity sequence of every triangulation of the n-gon.
-
-    n and cap are checked (``check_sweep``) at the call, before the first
-    item is asked for; ``_odometer`` yields the sequences.
-    """
-    check_sweep(n, cap)
-    return _odometer(n)
-
-
-def _odometer(n: int):
-    """Yield the quiddity sequences of ``iter_quiddities``, n already checked.
-
-    The apex recursion of the module docstring, without recursion.  A
-    triangulation is the preorder list of its triangles, one frame
-    ``(lo, hi, apex, rest)`` per arc of two or more sides, and the order
-    is lexicographic in the apexes.  Each step is an odometer move: pop
-    the frames whose apex is at ``hi - 1``, move the last apex one step,
-    and complete the pending arcs with their first triangulations, the
-    fans ``(k, k + 1, hi)``.  ``pending`` and each frame's ``rest`` are
-    cons-lists ``(arc, tail)`` of the arcs that still follow in preorder.
-    The vertex counts are updated in place and the state is O(n), which
-    makes exhaustive sweeps over hundreds of thousands of triangulations
-    practical.
-    """
-    counts = [0] * n
-    frames = []
-    push = frames.append
-    pop = frames.pop
-    pending = ((0, n - 1), None)
-    while True:
-        while pending is not None:
-            (lo, hi), pending = pending
-            for k in range(lo, hi - 1):
-                push((k, hi, k + 1, pending))
-                counts[k] += 1
-                counts[k + 1] += 1
-            counts[hi] += hi - lo - 1
-        yield tuple(counts)
-        while frames:
-            lo, hi, apex, rest = pop()
-            counts[apex] -= 1
-            if apex < hi - 1:
-                break
-            counts[lo] -= 1
-            counts[hi] -= 1
-        else:
-            return
-        apex += 1
-        counts[apex] += 1
-        push((lo, hi, apex, rest))
-        if hi - apex >= 2:
-            rest = ((apex, hi), rest)
-        pending = ((lo, apex), rest) if apex - lo >= 2 else rest
 
 
 class Leaf:

@@ -26,14 +26,14 @@ Counting machinery:
   ``math.comb`` of that size; ``perfect_tripartitions`` and
   ``case_count`` keep the sum term by term.
 * The same gluing, run over actual sequences instead of counts, enumerates
-  one representative per type: arms glued from the 2-gon by the apex
-  recursion, and one choice of arms per orbit of the central cell's
-  symmetries, kept by a rule on arm indices.  So ``enumerate_types``
-  neither sweeps nor loads :mod:`quiddity.polygons`.  Brute forces over
-  all triangulations, by orbit counting and by canonical forms, are kept
-  alongside as oracles and load it.  All these sweeps are refused above
-  ``SWEEP_CAP`` (14) unless ``cap=`` raises it; the cap and
-  ``check_sweep`` live in :mod:`quiddity.errors`.
+  one representative per type: the arms of the sub-polygons, listed by
+  the walk over all triangulations, ``eta.iter_quiddities``, and one
+  choice of arms per orbit of the central cell's symmetries, kept by a
+  rule on arm indices.  Brute forces over all triangulations of the
+  n-gon, by orbit counting and by canonical forms, take the same walk and
+  are kept alongside as oracles; no sweep loads :mod:`quiddity.polygons`.
+  All these sweeps are refused above ``SWEEP_CAP`` (14) unless ``cap=``
+  raises it; the cap and ``check_sweep`` live in :mod:`quiddity.errors`.
 
 The ternary composition law sits underneath: given quiddity sequences a,
 b, c of an (i+1)-, (j+1)- and (k+1)-gon arranged counterclockwise around a
@@ -177,11 +177,9 @@ def _check_n(n) -> None:
 
 def count_TSA_brute(n: int, cap: int = None):
     """(T_n, S_n, A_n) by exhaustive enumeration."""
-    from . import polygons
-
     total = 0
     fixed = 0
-    for q in polygons.iter_quiddities(n, cap):
+    for q in eta.iter_quiddities(n, cap):
         total += 1
         if q == q[::-1]:
             fixed += 1
@@ -329,9 +327,7 @@ def _glue(a: tuple, b: tuple, c: tuple = None) -> tuple:
 
 def brute_type_set(n: int, cap: int = None):
     """Canonical forms of all quiddity sequences of length n, exhaustively."""
-    from . import polygons
-
-    return {canonical_form(q) for q in polygons.iter_quiddities(n, cap)}
+    return {canonical_form(q) for q in eta.iter_quiddities(n, cap)}
 
 
 def _stabilizer_sum(quiddities, n: int) -> int:
@@ -376,24 +372,8 @@ def count_types(n: int, method: str = "formula", cap: int = None) -> int:
         _check_n(n)
         return _closed_sum(n)
     if method == "brute":
-        from . import polygons
-
-        return _stabilizer_sum(polygons.iter_quiddities(n, cap), n) // (2 * n)
+        return _stabilizer_sum(eta.iter_quiddities(n, cap), n) // (2 * n)
     raise ValueError(f"method must be 'formula' or 'brute', got {method!r}")
-
-
-def _glued_arms(top: int) -> dict:
-    """arms[m] for m = 2..top: every quiddity sequence of the m-gon, the 2-gon (0, 0) at 2.
-
-    The apex recursion of ``polygons.iter_quiddities``, in its order: the
-    triangle on the side (m-1, 0) with apex k, 1 <= k <= m-2, leaves a
-    (k+1)-gon and an (m-k)-gon, glued around it with a 2-gon third arm.
-    """
-    arms = {2: [DEGENERATE]}
-    for m in range(3, top + 1):
-        arms[m] = [_glue(left, right, DEGENERATE)
-                   for k in range(1, m - 1) for left in arms[k + 1] for right in arms[m - k]]
-    return arms
 
 
 def _reversals(arms: list) -> list:
@@ -457,13 +437,15 @@ def enumerate_types(n: int, cap: int = None):
     Realizes the central-structure decomposition: for every perfect
     tri-partition, glue each choice of arms (two for a central diameter,
     the 2-gon (0, 0) for an arc of one side) that ``_type_choices`` keeps,
-    one per type.  The arms themselves are glued from the 2-gon by the
-    apex recursion, so no sweep of :mod:`quiddity.polygons` runs and it is
-    not loaded.  Each type is composed once, so exactly K_n canonical forms
-    are taken and no set deduplicates them.  Refused outside 3..cap like
-    the brute force; the cap bounds n only.
+    one per type.  The arms of the m-gon, m <= n/2 + 1, are listed by the
+    walk of ``eta.iter_quiddities``, at most C_{n/2-1} of them per arc.
+    Each type is composed once, so exactly K_n canonical forms are taken
+    and no set deduplicates them.  Refused outside 3..cap like the brute
+    force; the cap bounds n only.
     """
     check_sweep(n, cap)
-    arms = _glued_arms(n // 2 + 1)
+    arms = {2: [DEGENERATE]}
+    for m in range(3, n // 2 + 2):  # m < n, so the check of n covers m
+        arms[m] = list(eta._odometer(m))
     return sorted(canonical_form(_glue(*choice))
                   for tp in perfect_tripartitions(n) for choice in _type_choices(tp, arms))

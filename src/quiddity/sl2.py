@@ -274,10 +274,3 @@ def ts_normal_form(m: Mat2) -> TSNormalForm:
         )
     exponents = tuple(e for e, q in runs for _ in range(q))
     return TSNormalForm(sign=sign, b0=b0, exponents=exponents, b1=b1)
-
-
-def check_cancellation_identity(a: int, b: int) -> bool:
-    """(U^(a+1)*S)(U*S)(U^(b+1)*S) == (U^a*S)(U^b*S), an identity in SL2(Z); a, b ints."""
-    _check_int(a, "a")
-    _check_int(b, "b")
-    return word_product((a + 1, 1, b + 1)) == word_product((a, b))

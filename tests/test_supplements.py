@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiddity import eta, supplements
-from quiddity.errors import InvalidSequenceError
+from quiddity.errors import SUPPLEMENT_CAP, InvalidSequenceError
 from strategies import quiddities
 
 
@@ -139,6 +139,38 @@ class TestSupplement:
         assert supplements.supplement(supp) == a
         assert eta.is_eta(a + supp)
         assert sum(a + supp) == 3 * len(a + supp) - 6
+
+    def test_length_is_known_up_front(self):
+        # 2 + sum(A - 2): what the length limit reads before building
+        rng = random.Random(11)
+        for _ in range(2000):
+            a = (1,) + tuple(rng.randrange(2, 12) for _ in range(rng.randrange(1, 15)))
+            assert len(supplements.supplement(a)) == 2 + sum(x - 2 for x in a[1:]), a
+
+    def test_longest_supplement_is_built_and_one_more_is_refused(self, monkeypatch):
+        monkeypatch.setattr(supplements, "SUPPLEMENT_CAP", 12)
+        for a in [(1, 12), (1, 3, 2, 4, 5, 6)]:
+            assert len(supplements.supplement(a)) == 12
+            longer = a[:-1] + (a[-1] + 1,)
+            with pytest.raises(InvalidSequenceError,
+                               match="^the supplement would have more than 12 entries$"):
+                supplements.supplement(longer)
+
+    def test_the_limit_is_a_million_entries(self):
+        assert SUPPLEMENT_CAP == 1_000_000
+        assert len(supplements.supplement((1, SUPPLEMENT_CAP))) == SUPPLEMENT_CAP
+        with pytest.raises(InvalidSequenceError, match="more than 1000000 entries"):
+            supplements.supplement((1, 10 ** 8))
+
+    def test_completions_are_refused_past_the_limit(self, monkeypatch):
+        # both complete r = what is left after contracting 1s with r's supplement
+        monkeypatch.setattr(supplements, "SUPPLEMENT_CAP", 12)
+        assert supplements.is_embeddable((3, 10, 3)).embeddable  # r = (3, 10, 3)
+        assert supplements.extend_superbasic([(1, 3, 12)])  # r = (2, 12)
+        for call, query in [(supplements.is_embeddable, (3, 11, 3)),
+                            (supplements.extend_superbasic, [(1, 3, 13)])]:
+            with pytest.raises(InvalidSequenceError, match="more than 12 entries"):
+                call(query)
 
     def test_supplement_output_is_basic(self):
         for a in all_basic(5, 6):

@@ -5,8 +5,9 @@ Burnside closed form, the orbit-counting brute K_n against the set of
 canonical forms and against the formula, its stabilizer orders against a
 count of the fixing dihedral images, ``canonical_form`` (one pass over
 the rotations at a least entry) against the minimum over all 2n dihedral
-images, and the memory of the brute force (on the ``iter_quiddities``
-odometer) against a recursive sweep.  Two oracles here serve other test
+images, the memory of the brute force (on the ``eta.iter_quiddities``
+odometer) against a recursive sweep, and that of the odometer itself
+against a bound far below a list of its sequences.  Two oracles here serve other test
 modules too: ``dihedral_images`` lists all 2n images, and
 ``recursive_quiddities`` is the apex recursion the odometer runs without
 recursion; test_polygons.py checks the odometer's order against it.
@@ -106,6 +107,16 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_walk_keeps_o_n_memory():
+    # the C_10 = 16796 sequences of the 12-gon pass one at a time: a walk that
+    # listed them, as gluing the arms up to 12 does (about 3 MB), would fail
+    def walk():
+        for _ in eta.iter_quiddities(12):
+            pass
+
+    assert _peak_bytes(walk) < 64 * 1024
 
 
 def recursive_quiddities(n):

@@ -14,7 +14,8 @@ Every exhaustive sweep of the package runs only for 3 <= n <= SWEEP_CAP
 unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
 ``check_sweep`` is the one range check, here so that no sweep loads
 :mod:`quiddity.polygons` for it.  A supplement of more than SUPPLEMENT_CAP
-entries is refused before it is built.
+entries, and an S/T normal form of more than NORMAL_FORM_LETTER_CAP
+letters, are refused before they are built.
 """
 
 
@@ -32,6 +33,9 @@ SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
 # Longest supplement built: supplement((1, 10**6)) takes about 0.1 s and the
 # CLI's supplement 1,1000000 about 0.5 s (Python 3.11).
 SUPPLEMENT_CAP = 1_000_000
+# The most letters ts_normal_form writes out (U^q has 2*|q|, T^2 counts as
+# one letter); a longer normal form is refused before it is built.
+NORMAL_FORM_LETTER_CAP = 100_000
 
 
 def check_sweep(n: int, cap: int = None) -> None:

@@ -96,13 +96,12 @@ def has_ones_row(window: FriezeWindow):
 def continuant(entries) -> int:
     """Determinant of the tridiagonal matrix with the given diagonal.
 
-    Unit off-diagonals; computed by the three-term recurrence
-    K(x_1..x_k) = x_k * K(x_1..x_{k-1}) - K(x_1..x_{k-2}) with K() = 1.
+    Unit off-diagonals.  K(x_1..x_k) is the b entry of the word
+    S*U^x_1*S*...*U^x_k*S, read off the word kernel ``eta._word_product``:
+    its step b <- a + b*x with a <- -b is the three-term recurrence
+    K(x_1..x_k) = x_k * K(x_1..x_{k-1}) - K(x_1..x_{k-2}), with K() = 1.
     """
-    cur, prev = 1, 0
-    for x in entries:
-        cur, prev = x * cur - prev, cur
-    return cur
+    return eta._word_product(entries, (0, 1, -1, 0))[1]
 
 
 class MatrixFriezeWindow(namedtuple("MatrixFriezeWindow", "n cells")):

@@ -23,8 +23,8 @@ count sides and triangles.
 
 All C_{n-2} triangulations (Catalan) come from the one walk,
 ``eta.iter_quiddities``: ``enumerate_triangulations`` maps ``from_quiddity``
-over it.  The walk, ``SWEEP_CAP`` and ``check_sweep`` are imported here, so
-their ``polygons.`` names keep working.
+over it.  The walk is imported here, so ``polygons.iter_quiddities`` keeps
+working.
 
 A given triangulation is read by one pass, that of ``to_dual_tree``: over
 the sides in order, it joins the top two subtrees at each chord's larger
@@ -40,7 +40,7 @@ import itertools
 from collections import namedtuple
 
 from . import eta
-from .errors import SWEEP_CAP, InvalidSequenceError, NotQuiddityError, _check_int, check_sweep
+from .errors import InvalidSequenceError, NotQuiddityError, _check_int
 from .eta import iter_quiddities
 
 

@@ -248,8 +248,9 @@ def case_count(tp: TriPartition) -> int:
 def _closed_sum(n: int) -> int:
     """The sum of ``case_count`` over the perfect tri-partitions of n, in closed form.
 
-    An arc a >= 2 carries the arms of the (a+1)-gon: t_a = C_{a-1} of them,
-    s_a = C_{a/2-1} reversal-fixed (0 for odd a).  With m = n // 2:
+    An arc a >= 2 carries the arms of the (a+1)-gon, ``_tsa(a + 1)``: t_a =
+    C_{a-1} of them, s_a = C_{a/2-1} reversal-fixed (0 for odd a).  With
+    m = n // 2:
 
     * Ordered triples of arcs summing to n carry sum t_a*t_b*t_c =
       3*binom(2n-3, n-3)/(2n-3) = 3(n-2)*C_{n-2}/n, the coefficient of
@@ -265,7 +266,7 @@ def _closed_sum(n: int) -> int:
       2-gon) and for even n, where b is even, the lower half of the
       convolution for C_{m-1}, less its term b = a at n/3.
     * F adds 2t + 3ts at a = n/3, its count less the t^3/6 counted above,
-      and A its count at t = C_{m-1}, s = s_m.
+      and A its ``case_count``.
 
     So 6*K_n = ordered - 3*tail + F + 3*pairs + 6*A, from C_{n-2} and at
     most four Catalan numbers of index below n/2.
@@ -274,19 +275,16 @@ def _closed_sum(n: int) -> int:
         return 1  # the triangle is case B; F would count it again
     m, even = n // 2, n % 2 == 0
     c = catalan(n - 2)
-    t = catalan(m - 1)
-    s = catalan(m // 2 - 1) if even and m % 2 == 0 else 0
+    t, s, _ = _tsa(m + 1)
     tail = (c * (4 * n - 6) // n + even * t * t) // 2 - c  # C_{n-1} = C_{n-2}*(4n-6)/n
     if even:
         pairs = (t - s * s) // 2
-        a = (t - s) // 2
-        diameter = a * (a + 1) + a * s + s * (s + 1) // 2
+        diameter = case_count(TriPartition(m, m, 0, "A"))
     else:
         pairs, diameter = t, 0
     equilateral = 0
     if n % 3 == 0:
-        t = catalan(n // 3 - 1)
-        s = catalan(n // 6 - 1) if even else 0
+        t, s, _ = _tsa(n // 3 + 1)
         equilateral = 2 * t + 3 * t * s
         pairs -= t * s
     return (3 * (n - 2) * c // n - 3 * tail + equilateral + 3 * pairs + 6 * diameter) // 6
@@ -390,32 +388,27 @@ def _type_choices(tp: TriPartition, arms: dict):
     the indices (x, y, z) of the arms in their lists keeps one choice of
     each orbit, with r the reversal map of a list.  C has no symmetry.  B
     and D, whose first two arms pair, keep x < r(y), or x = r(y) and
-    z <= r(z); E, whose last two pair, keeps x < r(x), or x = r(x) and
-    y <= r(z).  A, whose orbits are {(x, y), (y, x), (r(x), r(y)),
-    (r(y), r(x))}, keeps the least pair of each: x <= y, x <= r(x) and
-    x <= r(y), and y <= r(y) when x = r(x).  F keeps the index triples
-    least among their images under the turns and reflections of the
-    triangle; reflecting reverses the order of the arms and each arm.
+    z <= r(z).  E, whose last two arms pair, is glued pair-first and kept
+    by the same rule: turning the arms around the central triangle only
+    rotates the glued sequence (Conway and Coxeter).  A, whose orbits are
+    {(x, y), (y, x), (r(x), r(y)), (r(y), r(x))}, keeps the least pair of
+    each: x <= y, x <= r(x) and x <= r(y), and y <= r(y) when x = r(x).
+    F keeps the index triples least among their images under the turns
+    and reflections of the triangle; reflecting reverses the order of the
+    arms and each arm.
     """
     lists = [arms[p + 1] for p in tp.parts() if p]
+    if tp.case == "E":  # pair first: _glue(b, c, a) is a rotation of _glue(a, b, c)
+        lists = lists[1:] + lists[:1]
     if tp.case == "C":
         yield from itertools.product(*lists)
-    elif tp.case in "BD":
+    elif tp.case in "BDE":
         pair, odd = lists[0], lists[2]
         r, r_odd = _reversals(pair), _reversals(odd)
         odd_kept = [c for z, c in enumerate(odd) if z <= r_odd[z]]
         for y, b in enumerate(pair):
             yield from itertools.product(pair[:r[y]], (b,), odd)
             yield from itertools.product((pair[r[y]],), (b,), odd_kept)
-    elif tp.case == "E":
-        odd, pair = lists[0], lists[1]
-        r, r_odd = _reversals(pair), _reversals(odd)
-        pairs_kept = [(b, c) for z, c in enumerate(pair) for b in pair[:r[z] + 1]]
-        for x, a in enumerate(odd):
-            if x < r_odd[x]:
-                yield from itertools.product((a,), pair, pair)
-            elif x == r_odd[x]:
-                yield from ((a, b, c) for b, c in pairs_kept)
     elif tp.case == "A":
         arm, r = lists[0], _reversals(lists[0])
         for x, a in enumerate(arm):

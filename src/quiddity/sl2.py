@@ -21,21 +21,18 @@ products never build a ``Mat2``; they run on plain ``(a, b, c, d)`` int
 tuples, since a product of determinant-1 matrices has determinant 1.  One
 kernel, :func:`word_product`, multiplies out words U^x0*S * U^x1*S * ...;
 it serves ``eval_word``, ``eval_tokens``, ``TSNormalForm.to_matrix``,
-``eta.is_eta`` and ``eta.word_matrix``, and with :func:`mul` the matrix
-frieze in :mod:`quiddity.frieze`.  It is written once, in :mod:`quiddity.eta`
-(so testing a quiddity sequence never loads this module), and imported here
-under its public name.  :func:`mul` is the one 2x2 product: ``Mat2``'s ``@``
-and ``**`` run on it too.  ``ts_normal_form`` descends on tuples.
+``eta.is_eta``, ``eta.word_matrix`` and ``frieze.continuant``, and with
+:func:`mul` the matrix frieze in :mod:`quiddity.frieze`.  It is written
+once, in :mod:`quiddity.eta` (so testing a quiddity sequence never loads
+this module), and imported here under its public name.  :func:`mul` is
+the one 2x2 product: ``Mat2``'s ``@`` and ``**`` run on it too.
+``ts_normal_form`` descends on tuples.
 """
 
 from collections import namedtuple
 
-from .errors import InvalidSequenceError, NotUnimodularError, _check_int
+from .errors import NORMAL_FORM_LETTER_CAP, InvalidSequenceError, NotUnimodularError, _check_int
 from .eta import _word_product as word_product
-
-# The most letters ts_normal_form writes out (U^q has 2*|q|, T^2 counts as
-# one letter); a longer normal form is refused before it is built.
-NORMAL_FORM_LETTER_CAP = 100_000
 
 
 class Mat2:

@@ -103,6 +103,16 @@ def test_contract_errors():
         eta.contract((2, 1, 1, 2), 1)  # neighbour below 2
 
 
+@pytest.mark.parametrize("move, entries, i", [
+    (eta.expand, (1, 1, 1), 3),
+    (eta.contract, (1, 2, 1, 2), -1),
+])
+def test_a_position_out_of_range_is_refused(move, entries, i):
+    with pytest.raises(InvalidSequenceError,
+                       match=rf"^position {i} out of range for length {len(entries)}$"):
+        move(entries, i)
+
+
 def test_expand_contract_inverse():
     for seq in [(1, 1, 1), (2, 1, 2, 1), (1, 2, 2, 1, 3), (4, 1, 2, 2, 2, 1)]:
         for i in range(len(seq)):

@@ -397,6 +397,7 @@ def test_root_side_vertices_are_integers(side):
     ((5,), "diagonal 5 is not a tuple"),
     (([0, 2],), "diagonal [0, 2] is not a tuple"),
     (None, "diagonals must be a tuple or list of vertex pairs, got None"),
+    (((1, 2, 3),), "diagonal (1, 2, 3) is not a vertex pair"),
 ])
 def test_malformed_diagonal_shapes_are_refused(diagonals, message):
     t = polygons.Triangulation(4, diagonals)
@@ -404,6 +405,11 @@ def test_malformed_diagonal_shapes_are_refused(diagonals, message):
                  polygons.to_dual_tree, polygons.triangles):
         with pytest.raises(InvalidSequenceError, match=re.escape(message)):
             call(t)
+
+
+def test_a_polygon_below_three_vertices_is_refused():
+    with pytest.raises(InvalidSequenceError, match="^polygon needs at least 3 vertices, got 2$"):
+        polygons.to_quiddity(polygons.Triangulation(2, ()))
 
 
 @pytest.mark.parametrize("side", [5, 1.5, "30", {3, 0}])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quiddity import eta, polygons, similarity, supplements
+from quiddity import errors, eta, polygons, similarity, supplements
 from quiddity.errors import InvalidSequenceError
 from quiddity.similarity import (
     ASYMMETRIC,
@@ -303,9 +303,9 @@ def test_explicit_cap_above_16_is_honoured(sweep, monkeypatch):
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
-@pytest.mark.parametrize("n", [2, polygons.SWEEP_CAP + 1])
+@pytest.mark.parametrize("n", [2, errors.SWEEP_CAP + 1])
 def test_one_message_outside_the_default_range(sweep, n):
-    assert polygons.SWEEP_CAP == 14
+    assert errors.SWEEP_CAP == 14
     with pytest.raises(ValueError, match=cap_message(n, 14)):
         SWEEPS[sweep](n)
 
@@ -422,7 +422,8 @@ class TestCompose:
     def test_gluing_is_dihedrally_symmetric(self, a, b, c):
         glued = compose(a, b, c)
         assert eta.is_eta(glued)
-        assert canonical_form(compose(b, c, a)) == canonical_form(glued)
+        # turning the arms rotates the glued sequence: case E is glued pair-first
+        assert compose(b, c, a) in {glued[k:] + glued[:k] for k in range(len(glued))}
         assert canonical_form(compose(c[::-1], b[::-1], a[::-1])) == canonical_form(glued)
         assert canonical_form(compose(b[::-1], a[::-1])) == canonical_form(compose(a, b))
 

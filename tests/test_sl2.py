@@ -63,6 +63,12 @@ def test_entries_must_be_ints(entries):
         Mat2(*entries)
 
 
+def test_equality_hash_and_repr():
+    assert (Mat2(1, 0, 0, 1) == (1, 0, 0, 1)) is False  # a tuple is not a Mat2
+    assert len({S @ S, -I, Mat2(-1, 0, 0, -1)}) == 1  # equal matrices hash equal
+    assert repr(T) == "Mat2(a=0, b=1, c=-1, d=-1)"
+
+
 @pytest.mark.parametrize("k", [True, False, 2.5, 2.0, None, "2"])
 def test_power_refuses_a_non_int_exponent(k):
     with pytest.raises(InvalidSequenceError, match=rf"^exponent must be an int, got {re.escape(repr(k))}$"):
@@ -111,6 +117,16 @@ def test_eval_word_examples():
     assert sl2.eval_word(SUWord(factors=(2, 2, 2))) == Mat2(-2, 3, -3, 4)
     assert sl2.eval_word(SUWord(factors=(), trailing_s=False)) == I
     assert sl2.eval_word(SUWord(factors=(), prefix_s=True, trailing_s=False)) == S
+
+
+@pytest.mark.parametrize("word, text", [
+    (SUWord((1, 2), prefix_s=True), "S*U*S*U^2*S"),
+    (SUWord(()), "S"),
+    (SUWord((), trailing_s=False), "I"),
+    (SUWord((3,), trailing_s=False), "U^3"),
+])
+def test_word_text(word, text):
+    assert str(word) == text
 
 
 def test_eval_word_det_is_one():

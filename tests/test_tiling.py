@@ -128,6 +128,12 @@ def test_positivity_gate():
         tiling.extract_factors(window)
 
 
+def test_window_shape_and_unimodularity():
+    with pytest.raises(NotAPositiveTilingError, match="^window rows must be nonempty and rectangular$"):
+        tiling.window_from_values(0, 0, [[1, 2], [3]])
+    assert not tiling.window_from_values(0, 0, [[1, 2], [3, 4]]).unimodular_everywhere()
+
+
 def test_nonpositive_generation_is_reported_not_rejected():
     # a 0 entry forces a -1 neighbour; representable, only flagged
     window = tiling.generate_tiling(((0, 1), (-1, 2)), {}, {}, 0, 1, 0, 1)

@@ -14,8 +14,9 @@ Every exhaustive sweep of the package runs only for 3 <= n <= SWEEP_CAP
 unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
 ``check_sweep`` is the one range check, here so that no sweep loads
 :mod:`quiddity.polygons` for it.  A supplement of more than SUPPLEMENT_CAP
-entries, and an S/T normal form of more than NORMAL_FORM_LETTER_CAP
-letters, are refused before they are built.
+entries, an S/T normal form of more than NORMAL_FORM_LETTER_CAP letters, a
+frieze of more than FRIEZE_LENGTH_CAP entries and a tiling window of more
+than TILING_CELL_CAP cells are refused before they are built.
 """
 
 
@@ -36,6 +37,11 @@ SUPPLEMENT_CAP = 1_000_000
 # The most letters ts_normal_form writes out (U^q has 2*|q|, T^2 counts as
 # one letter); a longer normal form is refused before it is built.
 NORMAL_FORM_LETTER_CAP = 100_000
+# Outputs quadratic in the input, as CLI processes (Python 3.11, 2 CPUs): the
+# frieze of a fan of 1000 entries takes 0.5-0.8 s and 56 MB (2000: 2.1-2.7 s and
+# 195 MB), and a 1000 x 1000 tiling --formula-paper window 0.5-0.7 s and 81 MB.
+FRIEZE_LENGTH_CAP = 1000
+TILING_CELL_CAP = 1_000_000
 
 
 def check_sweep(n: int, cap: int = None) -> None:

@@ -10,8 +10,9 @@ the matrix word
 multiplies out to -I.  The family is closed under rotation and reversal,
 and is generated from (1, 1, 1) by the expansion move that splits a vertex:
 insert a new 1 into a cyclic gap and bump both neighbours.  Its inverse,
-cutting an ear, is the one linear ear clipper ``_clip_ears``: it decides
-membership without matrices and yields the triangulation's diagonals.
+cutting an ear, is the package's one ear clipper ``_cut_ears``, linear:
+``_clip_ears`` decides membership with it, without matrices, and
+``supplements.is_embeddable`` completes a segment with it.
 
 The package's one fold of such words, ``_word_product``, lives here, so
 ``is_eta`` runs without loading :mod:`quiddity.sl2`; ``sl2.word_product``
@@ -72,49 +73,57 @@ def is_eta(entries) -> bool:
 
 
 def is_eta_by_contraction(entries) -> bool:
-    """Matrix-free membership test by ear removal: whether :func:`_clip_ears` succeeds.
-
-    Independent of :func:`is_eta`; used as a cross-oracle in the test
-    suite.  O(n).
-    """
+    """Matrix-free O(n) membership by :func:`_clip_ears`, the tests' cross-oracle for is_eta."""
     return _clip_ears(as_sequence(entries)) is not None
 
 
 def _clip_ears(seq: tuple):
     """The diagonals (u, v), u < v, cut off down to (1, 1, 1), or None if not a quiddity.
 
-    The package's one ear clipper, linear: cutting the ear at an entry 1
-    joins its neighbours (prev/next arrays), decrements them and puts one
-    that drops to 1 on the worklist.  Cutting an ear keeps a sequence
-    valid, and a valid one of 4 or more entries has an ear and no two
-    adjacent 1s (a 1 never decreases), so a sum other than 3n - 6, an empty
-    worklist or an ear next to a 1 refuses.  The three entries left sum to
-    3: (1, 1, 1).  The triangulation is unique, so the cut order is free.
+    Cutting an ear keeps a sequence valid, and a valid one of 4 or more
+    entries has an ear and no two adjacent 1s (a 1 never decreases), so a
+    sum other than 3n - 6 or :func:`_cut_ears` stopping short of n - 3 cuts
+    refuses.  The triangulation is unique, so the cut order is free.
     """
     n = len(seq)
     if sum(seq) != 3 * n - 6:
         return None
+    diagonals, _, ok = _cut_ears(seq)
+    return diagonals if ok and len(diagonals) == n - 3 else None
+
+
+def _cut_ears(seq: tuple):
+    """Cut the ears of the cyclic sequence until 3 entries remain or none is left.
+
+    Cutting the ear at an entry 1 joins its neighbours (prev/next arrays),
+    decrements them and puts one that drops to 1 on the worklist, leftmost
+    ear first: the worklist starts right to left, and a cut pushes its right
+    neighbour before its left one.  Returns ``(diagonals, counts, ok)``: the
+    cut diagonals (u, v), u < v, the entries, 0 where an ear was cut, and
+    False if it stopped at an ear next to a 1.
+    """
+    n = len(seq)
     counts = list(seq)
-    prev = [n - 1] + list(range(n - 1))
-    nxt = list(range(1, n)) + [0]
-    ears = [i for i, c in enumerate(seq) if c == 1]
+    prev = [n - 1, *range(n - 1)]
+    nxt = [*range(1, n), 0]
+    ears = [i for i in range(n - 1, -1, -1) if seq[i] == 1]
     diagonals = []
     for _ in range(n - 3):
         if not ears:
-            return None
+            break
         i = ears.pop()
         u, v = prev[i], nxt[i]
-        if counts[u] < 2 or counts[v] < 2:
-            return None
+        cu, cv = counts[u] - 1, counts[v] - 1
+        if not (cu and cv):  # a neighbour is 1
+            return diagonals, counts, False
         diagonals.append((u, v) if u < v else (v, u))
         nxt[u], prev[v] = v, u
-        counts[u] -= 1
-        counts[v] -= 1
-        if counts[u] == 1:
-            ears.append(u)
-        if counts[v] == 1:
+        counts[i], counts[u], counts[v] = 0, cu, cv
+        if cv == 1:
             ears.append(v)
-    return diagonals
+        if cu == 1:
+            ears.append(u)
+    return diagonals, counts, True
 
 
 def iter_quiddities(n: int, cap: int = None):

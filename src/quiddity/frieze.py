@@ -26,7 +26,7 @@ lower-left entries.  Only the matrix frieze loads :mod:`quiddity.sl2`.
 from collections import namedtuple
 
 from . import eta
-from .errors import InvalidSequenceError, NotQuiddityError, _check_int
+from .errors import FRIEZE_LENGTH_CAP, InvalidSequenceError, NotQuiddityError, _check_int
 
 
 class FriezeWindow(namedtuple("FriezeWindow", "n rows")):
@@ -56,9 +56,12 @@ def generate_frieze(entries) -> FriezeWindow:
     least i with 2i >= n + 3, equal their images, the later rows are
     copied; their zero tests would test rotations of rows 2..n-i+1, already
     tested.  Otherwise no later pair matches and the recurrence runs on.
+    More than FRIEZE_LENGTH_CAP entries raise InvalidSequenceError first.
     """
     seq = eta.as_sequence(entries)
     n = len(seq)
+    if n > FRIEZE_LENGTH_CAP:
+        raise InvalidSequenceError(f"frieze of {n} entries, over the limit of {FRIEZE_LENGTH_CAP}")
     rows = [(0,) * n, (1,) * n, seq]
 
     def glide(k):  # the image of row n - k, a candidate for row k

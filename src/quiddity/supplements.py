@@ -15,16 +15,19 @@ depths of the pending slots matter, so a stack of depths suffices.
 
 A second, independent computation (:func:`supplement_by_runs`) rewrites
 runs of 2s and entries >= 3 directly, in reverse order: a run of x 2s
-becomes the singleton x + 3 (x + 2 on either boundary, x + 1 when the
-sequence is nothing but 2s) and an entry A becomes A - 3 copies of 2
-(A - 2 against a missing boundary run, A - 1 in the isolated (1, A) case).
-Both computations agree; the tree reading is the one the package exports.
+becomes the singleton x + 3 (x + 2 on either boundary, even for x = 0, and
+x + 1 when the sequence is nothing but 2s) and an entry A becomes A - 3
+copies of 2.  Both computations agree; the tree reading is the one the
+package exports.
 
 One construction, :func:`is_embeddable`, completes a sequence to a longer
-quiddity sequence; :func:`extend_superbasic` is its case of super-basic blocks.
+quiddity sequence: it cuts the ears of the segment with the ear clipper of
+:mod:`quiddity.eta` and closes what is left with its supplement.
+:func:`extend_superbasic` is its case of super-basic blocks.
 """
 
 from collections import namedtuple
+from itertools import chain
 
 from . import eta
 from .errors import SUPPLEMENT_CAP, InvalidSequenceError
@@ -100,31 +103,19 @@ def _supplement(tail) -> list:
 def supplement_by_runs(entries) -> tuple:
     """Run-rewriting form of the supplement; cross-oracle for :func:`supplement`."""
     seq = check_basic(entries)
-    runs_of_2 = [0]
-    bigs = []
+    runs_of_2, bigs = [0], []
     for x in seq[1:]:
         if x == 2:
             runs_of_2[-1] += 1
         else:
             bigs.append(x)
             runs_of_2.append(0)
-    k = len(bigs)
-    if k == 0:
+    if not bigs:
         return (1, runs_of_2[0] + 1)
-    out = [1]
-    if runs_of_2[k] > 0:
-        out.append(runs_of_2[k] + 2)
-    for l in range(k, 0, -1):
-        copies = bigs[l - 1] - 3
-        if l == k and runs_of_2[k] == 0:
-            copies += 1
-        if l == 1 and runs_of_2[0] == 0:
-            copies += 1
-        out.extend([2] * copies)
-        if l > 1:
-            out.append(runs_of_2[l - 1] + 3)
-    if runs_of_2[0] > 0:
-        out.append(runs_of_2[0] + 2)
+    out = [1, runs_of_2[-1] + 2]
+    for big, run in zip(reversed(bigs), runs_of_2[-2::-1]):
+        out += [2] * (big - 3) + [run + 3]
+    out[-1] -= 1  # the first run is on the boundary too
     return tuple(out)
 
 
@@ -137,7 +128,7 @@ def extend_superbasic(seqs) -> tuple:
     blocks = [check_superbasic(s) for s in seqs]
     if not blocks:
         raise InvalidSequenceError("need at least one super-basic sequence")
-    return _embed(sum(blocks, ())).witness
+    return _embed(tuple(chain.from_iterable(blocks))).witness
 
 
 # Outcome of the embeddability decision.  ``embeddable`` is True or False;
@@ -154,50 +145,35 @@ def is_embeddable(entries) -> Embeddability:
     "Inside" means as a contiguous segment with at least two entries added
     around it.  The result then has length >= 4, so it has no adjacent 1s
     (a 1 flanked by 2s would leave some) and each 1 of the segment is an
-    ear.  Contracting it inside the segment keeps the answer, and
-    :func:`eta.expand` undoes that.  So one left-to-right pass contracts the
-    1s until adjacent 1s answer no.  Otherwise what is left, r, completes
-    as r + supplement((1,) + r) + (1,): a single entry a >= 2 gives the fan
-    (a, 1, 2, ..., 2, 1), and nothing or a lone 1 gives (1, 1, 1).
-    Replaying the contractions as expansions of that completion gives a
-    witness starting with the query.  A supplement of more than
-    SUPPLEMENT_CAP entries raises InvalidSequenceError, here and in
-    :func:`extend_superbasic`.
+    ear, whose cut keeps the answer (:func:`eta.expand` undoes it).  So
+    ``eta._cut_ears`` cuts the segment closed by two entries len + 2, which
+    no cut brings down to 1, and an ear next to a 1 answers no.  Otherwise
+    what is left, r, completes as r + supplement((1,) + r) + (1,), or as
+    (1, 1, 1) from nothing or a lone 1; expanding the ears again gives the
+    query followed by that tail, whose ends gain what the closing entries
+    lost.  A supplement of more than SUPPLEMENT_CAP entries raises
+    InvalidSequenceError, here and in :func:`extend_superbasic`.
     """
     return _embed(eta.as_sequence(entries, min_length=0))
 
 
 def _embed(seq: tuple) -> Embeddability:
     """The construction of :func:`is_embeddable`, on a checked tuple."""
-    rest, ears = [], []  # the segment with its 1s contracted; their positions
-    for k, x in enumerate(seq):
-        while rest and rest[-1] == 1:  # only the last entry of rest can be 1
-            if x == 1:  # every query with (1, 1) or (2, 1, 2) ends up here
-                if (1, 1) in zip(seq, seq[1:]):
-                    text = _ADJACENT_ONES
-                elif (2, 1, 2) in zip(seq, seq[1:], seq[2:]):
-                    text = ("interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
-                            "impossible in any quiddity sequence of length >= 4")
-                else:
-                    left = tuple(rest) + (x,) + seq[k + 1:]
-                    text = f"contracting its 1s leaves {left}: {_ADJACENT_ONES}"
-                return Embeddability(False, obstruction=text)
-            ears.append(len(rest) - 1)
-            rest.pop()
-            if rest:
-                rest[-1] -= 1
-            x -= 1
-        rest.append(x)
-    while len(rest) > 1 and rest[-1] == 1:
-        ears.append(len(rest) - 1)
-        rest.pop()
-        rest[-1] -= 1
-    if rest in ([], [1]):
-        witness = [1, 1, 1]
-    else:  # no 1 is left in rest, so (1,) + rest is basic
-        witness = rest + _supplement(rest) + [1]
-    for i in reversed(ears):  # eta.expand at the cyclic gap before position i
-        witness[i - 1] += 1
-        witness[i] += 1
-        witness.insert(i, 1)
-    return Embeddability(True, witness=tuple(witness))
+    k = len(seq)
+    big = k + 2  # each closing entry loses at most one per cut, so it is never an ear
+    _, counts, ok = eta._cut_ears(seq + (big, big))
+    rest = list(filter(None, counts[:k]))  # the uncut entries of the segment
+    if not ok:  # every query with (1, 1) or (2, 1, 2) ends up here
+        if (1, 1) in zip(seq, seq[1:]):
+            text = _ADJACENT_ONES
+        elif (2, 1, 2) in zip(seq, seq[1:], seq[2:]):
+            text = ("interior 1 flanked by 2s: contracting it would leave adjacent 1s, "
+                    "impossible in any quiddity sequence of length >= 4")
+        else:
+            text = f"contracting its 1s leaves {tuple(rest)}: {_ADJACENT_ONES}"
+        return Embeddability(False, obstruction=text)
+    # no 1 is left in a longer rest, so (1,) + rest is basic
+    tail = [1, 1, 1][len(rest):] if rest in ([], [1]) else _supplement(rest) + [1]
+    tail[0] += big - counts[k]  # the cut ears, expanded again, add to the closing entries
+    tail[-1] += big - counts[k + 1]
+    return Embeddability(True, witness=seq + tuple(tail))

@@ -33,7 +33,8 @@ needs checking afterwards, so seeds and factors must be ints.
 
 from collections import namedtuple
 
-from .errors import InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError, _check_int
+from .errors import (TILING_CELL_CAP, InconsistentFactorsError, InvalidSequenceError,
+                     NotAPositiveTilingError, _check_int)
 
 
 class TilingWindow(namedtuple("TilingWindow", "i0 i1 j0 j1 values")):
@@ -94,9 +95,13 @@ def formula_window(i0: int, i1: int, j0: int, j1: int) -> TilingWindow:
     )
 
 
-def _check_bounds(*bounds) -> None:
-    for name, x in zip(("i0", "i1", "j0", "j1"), bounds):
+def _check_bounds(i0, i1, j0, j1) -> None:
+    """Refuse bounds that are not ints or a window of more than TILING_CELL_CAP cells."""
+    for name, x in zip(("i0", "i1", "j0", "j1"), (i0, i1, j0, j1)):
         _check_int(x, name)
+    cells = max(i1 - i0 + 1, 0) * max(j1 - j0 + 1, 0)
+    if cells > TILING_CELL_CAP:
+        raise InvalidSequenceError(f"window of {cells} cells, over the limit of {TILING_CELL_CAP}")
 
 
 def extract_factors(window: TilingWindow) -> FactorVectors:

@@ -45,6 +45,7 @@ FACTOR_FILES = {
 }
 
 FAN_12 = "10," + ",".join(["1"] + ["2"] * 9 + ["1"])
+FAN_1001 = "999," + ",".join(["1"] + ["2"] * 998 + ["1"])  # one entry past the frieze limit
 SEED_FILES = ["--kfile", "k.json", "--lfile", "l.json"]
 
 CASES = [
@@ -75,6 +76,7 @@ CASES = [
     ["frieze", "2,2,2,2", "--format", "json"],
     ["frieze", "1,1,1,1"],
     ["frieze", "3,3,3"],
+    ["frieze", FAN_1001],
     ["frieze", "x"],
     ["frieze"],
     # count
@@ -160,6 +162,7 @@ CASES = [
     ["tiling", "--formula-paper", "--window=-2:2,-2:2"],
     ["tiling", "--formula-paper", "--window=-2:2,-2:2", "--format", "json"],
     ["tiling", "--formula-paper", "--window=0:0,0:0"],
+    ["tiling", "--formula-paper", "--window=-500:500,-500:500"],  # 1001 x 1001 cells
     ["tiling", "--seed", "2,3,3,5", *SEED_FILES, "--window=-2:2,-2:2"],
     ["tiling", "--seed", "2,3,3,5", *SEED_FILES, "--window=-2:2,-2:2", "--format", "json"],
     ["tiling", "--seed=-1,0,0,-1", *SEED_FILES, "--window=-2:2,-2:2"],

@@ -147,6 +147,23 @@ def test_contraction_completeness(quiddities_by_n):
             assert eta.is_eta_by_contraction(seq)
 
 
+def test_cut_ears_cuts_the_leftmost_ear_first():
+    # counts keep the uncut entries and 0 at each cut ear
+    assert eta._cut_ears((2, 1, 3, 1, 2)) == ([(0, 2), (2, 4)], [0, 0, 1, 1, 1], True)
+    assert eta._cut_ears((3, 1, 3, 1, 3, 1)) == ([(0, 2), (2, 4), (0, 4)], [1, 0, 0, 0, 1, 1], True)
+    # the ear at 0 goes first, and the ear it leaves at 1 sits next to the 1 at 2
+    assert eta._cut_ears((1, 2, 1, 3, 6, 6)) == ([(1, 5)], [0, 1, 1, 3, 6, 5], False)
+    assert eta._cut_ears((2, 2, 2, 2)) == ([], [2, 2, 2, 2], True)  # no ear
+
+
+def test_cut_ears_leaves_three_1s_of_a_quiddity(quiddities_by_n):
+    for n in range(3, 10):
+        for seq in quiddities_by_n[n]:
+            diagonals, counts, ok = eta._cut_ears(seq)
+            assert ok and len(diagonals) == n - 3, seq
+            assert sorted(counts) == [0] * (n - 3) + [1, 1, 1], seq
+
+
 class TestThreeOracleEquivalence:
     """word == -I, ear contraction, and the frieze ones-row must agree."""
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiddity import eta, frieze, polygons, sl2
-from quiddity.errors import InvalidSequenceError, NotQuiddityError
+from quiddity import eta, frieze, polygons, sl2, supplements
+from quiddity.errors import FRIEZE_LENGTH_CAP, InvalidSequenceError, NotQuiddityError
 from strategies import quiddities, same_sum_sequences
 
 PATTERN_I = (4, 2, 1, 3, 2, 2, 1)
@@ -71,6 +71,22 @@ def test_division_failure_carries_cell():
     with pytest.raises(NotQuiddityError) as err:
         frieze.generate_frieze((1, 1, 1, 1, 1))
     assert (str(err.value), err.value.row, err.value.col) == ("zero divisor at cell (5,0)", 5, 0)
+
+
+def test_longest_frieze_is_built_and_one_more_entry_is_refused(monkeypatch):
+    monkeypatch.setattr(frieze, "FRIEZE_LENGTH_CAP", 12)
+    assert frieze.generate_frieze(supplements.fan(10)).n == 12
+    for longer in [supplements.fan(11), (1,) * 13]:  # refused before any row, valid or not
+        with pytest.raises(InvalidSequenceError,
+                           match=r"^frieze of 13 entries, over the limit of 12$"):
+            frieze.generate_frieze(longer)
+
+
+def test_the_frieze_limit_is_a_thousand_entries():
+    assert FRIEZE_LENGTH_CAP == 1000
+    assert frieze.has_ones_row(frieze.generate_frieze(supplements.fan(998))) == 999
+    with pytest.raises(InvalidSequenceError, match="over the limit of 1000$"):
+        frieze.generate_frieze(supplements.fan(999))
 
 
 def test_formal_row_above_zero_row():

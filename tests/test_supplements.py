@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,17 @@ class TestExtendSuperbasic:
         for bl in lists:
             assert supplements.extend_superbasic(bl) == extend_by_junctions(bl), bl
 
+    def test_many_blocks_are_flattened_once(self):
+        # a copy of the growing tuple per block takes about 6 s for these
+        blocks = [(1, 3, 3)] * 30_000
+        start = time.perf_counter()
+        out = supplements.extend_superbasic(blocks)
+        assert time.perf_counter() - start < 2
+        flat = (1, 3, 3) * 30_000
+        assert len(out) == 90_004 and out[:90_000] == flat
+        assert out == supplements.is_embeddable(flat).witness
+        assert eta.is_eta(out)
+
     def test_rejects_bad_blocks(self):
         with pytest.raises(InvalidSequenceError):
             supplements.extend_superbasic([])
@@ -307,6 +319,16 @@ class TestEmbeddability:
                     assert (1, 1) in zip(left, left[1:]), s
                     contracted += 1
         assert contracted > 0
+
+    @pytest.mark.parametrize("query, left", [
+        ((1, 2, 1, 3), (1, 1, 3)),
+        ((3, 1, 2, 1), (2, 1, 1)),
+        ((1, 2, 1, 3, 1), (1, 1, 3, 1)),
+    ])
+    def test_obstruction_cuts_the_leftmost_ear_first(self, query, left):
+        assert supplements.is_embeddable(query).obstruction == (
+            f"contracting its 1s leaves {left}: "
+            "adjacent 1s cannot occur in a quiddity sequence of length >= 4")
 
     def test_no_is_confirmed_by_bounded_search(self):
         noes = 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quiddity import tiling
 from quiddity.errors import (
+    TILING_CELL_CAP,
     InconsistentFactorsError,
     InvalidSequenceError,
     NotAPositiveTilingError,
@@ -66,6 +67,30 @@ def test_generate_round_trips_core():
     f = tiling.extract_factors(window)
     regenerated = tiling.generate_tiling(((2, 3), (3, 5)), f.k, f.l, -2, 2, -2, 2)
     assert regenerated == window
+
+
+def test_largest_window_is_built_and_one_more_cell_is_refused(monkeypatch):
+    f = tiling.extract_factors(tiling.formula_window(-2, 2, -2, 2))
+    monkeypatch.setattr(tiling, "TILING_CELL_CAP", 12)
+    seed = ((2, 3), (3, 5))
+    assert len(tiling.formula_window(-1, 1, -1, 2).values) == 3  # 3 x 4 cells
+    assert tiling.generate_tiling(seed, f.k, f.l, -1, 2, -1, 1).i1 == 2  # 4 x 3 cells
+    for window in [(-1, 1, -2, 2), (-2, 2, -1, 1), (-1, 11, 0, 0)]:  # 15, 15 and 13 cells
+        cells = (window[1] - window[0] + 1) * (window[3] - window[2] + 1)
+        message = f"^window of {cells} cells, over the limit of 12$"
+        with pytest.raises(InvalidSequenceError, match=message):
+            tiling.formula_window(*window)
+        with pytest.raises(InvalidSequenceError, match=message):
+            tiling.generate_tiling(seed, f.k, f.l, *window)  # before the missing factors
+
+
+def test_the_cell_limit_is_a_million_and_counts_only_real_windows():
+    assert TILING_CELL_CAP == 1_000_000
+    with pytest.raises(InvalidSequenceError, match="^window of 1002001 cells"):
+        tiling.formula_window(-500, 500, -500, 500)
+    # both extents reversed: an empty window, not a large one
+    with pytest.raises(NotAPositiveTilingError, match="nonempty"):
+        tiling.formula_window(0, -10 ** 6, 0, -10 ** 6)
 
 
 def test_extension_row_below_core():

@@ -103,7 +103,7 @@ def cmd_types(args):
 def cmd_supplement(args):
     from . import eta, supplements
 
-    seq = supplements.check_basic(eta.parse_sequence(args.sequence, min_length=1))
+    seq = eta.parse_sequence(args.sequence, min_length=1)
     supp = supplements.supplement(seq)
     valid = eta.is_eta(seq + supp)
     payload = {"input": list(seq), "supplement": list(supp), "concatenation_valid": valid}

@@ -15,8 +15,9 @@ unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
 ``check_sweep`` is the one range check, here so that no sweep loads
 :mod:`quiddity.polygons` for it.  A supplement of more than SUPPLEMENT_CAP
 entries, an S/T normal form of more than NORMAL_FORM_LETTER_CAP letters, a
-frieze of more than FRIEZE_LENGTH_CAP entries and a tiling window of more
-than TILING_CELL_CAP cells are refused before they are built.
+frieze of more than FRIEZE_LENGTH_CAP entries, a matrix frieze of more
+than MATRIX_FRIEZE_CELL_CAP cells and a tiling window of more than
+TILING_CELL_CAP cells are refused before they are built.
 """
 
 
@@ -42,6 +43,10 @@ NORMAL_FORM_LETTER_CAP = 100_000
 # 195 MB), and a 1000 x 1000 tiling --formula-paper window 0.5-0.7 s and 81 MB.
 FRIEZE_LENGTH_CAP = 1000
 TILING_CELL_CAP = 1_000_000
+# A matrix frieze holds one Mat2 per cell: the fan of 400 entries (160 400
+# cells) takes 0.2 s and 26 MB as a process, of 550 entries (303 050 cells)
+# 0.5 s and 44 MB, and of 1000 entries 2.1 s and 150 MB (Python 3.11).
+MATRIX_FRIEZE_CELL_CAP = 300_000
 
 
 def check_sweep(n: int, cap: int = None) -> None:

@@ -26,7 +26,8 @@ lower-left entries.  Only the matrix frieze loads :mod:`quiddity.sl2`.
 from collections import namedtuple
 
 from . import eta
-from .errors import FRIEZE_LENGTH_CAP, InvalidSequenceError, NotQuiddityError, _check_int
+from .errors import (FRIEZE_LENGTH_CAP, MATRIX_FRIEZE_CELL_CAP, InvalidSequenceError,
+                     NotQuiddityError, _check_int)
 
 
 class FriezeWindow(namedtuple("FriezeWindow", "n rows")):
@@ -141,8 +142,9 @@ def generate_matrix_frieze_rows(row0, row1, depth: int):
     Returns rows 0..depth as tuples of Mat2, each of the period of row1, of
     the matrix diamond rule in the collapsed form of generate_matrix_frieze:
     the n factors M_k * X^-1 first, then one product per cell on
-    (a, b, c, d) tuples.  A depth that is not an int >= 0 raises
-    InvalidSequenceError.
+    (a, b, c, d) tuples.  A depth that is not an int >= 0, or more than
+    MATRIX_FRIEZE_CELL_CAP cells in rows 0..depth, raise InvalidSequenceError
+    before any row is built.
     """
     from . import sl2
 
@@ -151,6 +153,9 @@ def generate_matrix_frieze_rows(row0, row1, depth: int):
         raise InvalidSequenceError(f"matrix frieze depth must be at least 0, got {depth}")
     row1 = tuple(row1)
     n = len(row1)
+    if (depth + 1) * n > MATRIX_FRIEZE_CELL_CAP:
+        raise InvalidSequenceError(f"matrix frieze of {(depth + 1) * n} cells, "
+                                   f"over the limit of {MATRIX_FRIEZE_CELL_CAP}")
     e, f, g, h = row0.entries()
     factors = [sl2.mul(m.entries(), (h, -f, -g, e)) for m in row1]
     rows = [(row0,) * n, row1]

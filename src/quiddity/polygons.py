@@ -26,11 +26,14 @@ All C_{n-2} triangulations (Catalan) come from the one walk,
 over it.  The walk is imported here, so ``polygons.iter_quiddities`` keeps
 working.
 
-A given triangulation is read by one pass, that of ``to_dual_tree``: over
-the sides in order, it joins the top two subtrees at each chord's larger
-end, as a bracket is parsed, and a chord that does not start where the
-lower of the two arcs starts crosses another.  ``validate_triangulation``
-is this pass with the tree thrown away, ``triangles`` reads the tree's
+A given triangulation is read by ``to_dual_tree``: one loop checks each
+diagonal (a tuple, a pair, int vertices, in range and sorted, not a side,
+not a duplicate) as it buckets it by its larger end, then one pass over
+the sides joins the top two subtrees at each chord's larger end, as a
+bracket is parsed; a chord that does not start where the lower arc starts
+crosses another.  Refusals come in that order, with the n-3 count between
+the two passes and a bad root side last.  ``validate_triangulation`` is
+this reading with the tree thrown away, ``triangles`` reads the tree's
 Euler tour, and ``to_quiddity`` counts the diagonals at each vertex.  The
 other direction, ``from_quiddity``, is the linear ear clipper of
 :mod:`quiddity.eta`.
@@ -53,37 +56,6 @@ class Triangulation(namedtuple("Triangulation", "n diagonals")):
         return {"n": self.n, "diagonals": [list(d) for d in self.diagonals]}
 
 
-def _check_diagonals(t: Triangulation) -> None:
-    """Check the shapes, int types, ranges, non-adjacency, distinctness and the n-3 count."""
-    n = t.n
-    _check_int(n, "polygon size")
-    if n < 3:
-        raise InvalidSequenceError(f"polygon needs at least 3 vertices, got {n}")
-    if not isinstance(t.diagonals, (tuple, list)):
-        raise InvalidSequenceError(
-            f"diagonals must be a tuple or list of vertex pairs, got {t.diagonals!r}")
-    seen = set()
-    for d in t.diagonals:
-        if not isinstance(d, tuple):
-            raise InvalidSequenceError(f"diagonal {d!r} is not a tuple")
-        if len(d) != 2:
-            raise InvalidSequenceError(f"diagonal {d!r} is not a vertex pair")
-        u, v = d
-        if type(u) is not int or type(v) is not int:
-            raise InvalidSequenceError(f"diagonal {d!r} has a vertex that is not an int")
-        if not (0 <= u < v < n):
-            raise InvalidSequenceError(f"diagonal {d!r} out of range or unsorted")
-        if v - u == 1 or (u == 0 and v == n - 1):
-            raise InvalidSequenceError(f"{d!r} is a polygon side, not a diagonal")
-        if d in seen:
-            raise InvalidSequenceError(f"duplicate diagonal {d!r}")
-        seen.add(d)
-    if len(t.diagonals) != n - 3:
-        raise InvalidSequenceError(
-            f"expected {n - 3} diagonals for an {n}-gon, got {len(t.diagonals)}"
-        )
-
-
 def _raise_first_crossing(diagonals) -> None:
     """Name the first crossing pair (i < j) in the given order; some pair crosses."""
     for d1, d2 in itertools.combinations(diagonals, 2):
@@ -93,10 +65,7 @@ def _raise_first_crossing(diagonals) -> None:
 
 
 def validate_triangulation(t: Triangulation) -> None:
-    """Check types, ranges, non-adjacency, distinctness, the n-3 count and non-crossing.
-
-    This is the pass of ``to_dual_tree``, with the tree thrown away.
-    """
+    """Refuse what ``to_dual_tree`` refuses, in its order; the tree is thrown away."""
     to_dual_tree(t)
 
 
@@ -190,27 +159,53 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     counterclockwise is the left child; this makes the depth-first run
     counts spell the quiddity sequence starting at the counterclockwise
     endpoint of the root side.
+
+    One loop checks each diagonal, in input order, as it buckets it; then
+    come the n-3 count, a crossing in the stack pass and, last, a bad root
+    side, which is read as side a until then.
     """
-    _check_diagonals(t)
     n = t.n
+    _check_int(n, "polygon size")
+    if n < 3:
+        raise InvalidSequenceError(f"polygon needs at least 3 vertices, got {n}")
+    if not isinstance(t.diagonals, (tuple, list)):
+        raise InvalidSequenceError(
+            f"diagonals must be a tuple or list of vertex pairs, got {t.diagonals!r}")
     if root_side is None:
         root_side = (n - 1, 0)
     side = tuple(root_side) if isinstance(root_side, (tuple, list)) else ()
-    if not (len(side) == 2 and all(type(x) is int and 0 <= x < n for x in side)
-            and (side[1] - side[0]) % n in (1, n - 1)):
-        validate_triangulation(t)  # a crossing is reported before a bad root side
-        raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
-    u, v = side
+    side_ok = (len(side) == 2 and all(type(x) is int and 0 <= x < n for x in side)
+               and (side[1] - side[0]) % n in (1, n - 1))
+    u, v = side if side_ok else (n - 1, 0)
     start = v if (u + 1) % n == v else u
     # Relabel so the root side becomes (n-1, 0), and bucket the chords (x, y)
-    # by their larger end y, innermost (largest x) first.
-    closing = [[] for _ in range(n)]
-    for x, y in t.diagonals:
+    # by their larger end y; keyed, so an n the count refuses allocates nothing.
+    closing = {}
+    seen = set()
+    for d in t.diagonals:
+        if not isinstance(d, tuple):
+            raise InvalidSequenceError(f"diagonal {d!r} is not a tuple")
+        if len(d) != 2:
+            raise InvalidSequenceError(f"diagonal {d!r} is not a vertex pair")
+        x, y = d
+        if type(x) is not int or type(y) is not int:
+            raise InvalidSequenceError(f"diagonal {d!r} has a vertex that is not an int")
+        if not (0 <= x < y < n):
+            raise InvalidSequenceError(f"diagonal {d!r} out of range or unsorted")
+        if y - x == 1 or (x == 0 and y == n - 1):
+            raise InvalidSequenceError(f"{d!r} is a polygon side, not a diagonal")
+        if d in seen:
+            raise InvalidSequenceError(f"duplicate diagonal {d!r}")
+        seen.add(d)
         x, y = (x - start) % n, (y - start) % n
         if x > y:
             x, y = y, x
-        closing[y].append(x)
-    for ends in closing:
+        closing.setdefault(y, []).append(x)
+    if len(t.diagonals) != n - 3:
+        raise InvalidSequenceError(
+            f"expected {n - 3} diagonals for an {n}-gon, got {len(t.diagonals)}"
+        )
+    for ends in closing.values():  # innermost (largest x) first
         ends.sort(reverse=True)
     # One pass over the sides (y-1, y) keeps the arcs that partition 0..y as
     # a stack of their first vertices, and the subtree of each arc.  Once the
@@ -222,11 +217,13 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
     starts = []
     for y in range(1, n):
         starts.append(y - 1)
-        for x in closing[y]:
+        for x in closing.get(y, ()):
             w = starts.pop()
             if starts[-1] != x:
                 _raise_first_crossing(t.diagonals)
             subtree[x] = Branch(subtree[x], subtree[w])
+    if not side_ok:
+        raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
     left, right = (subtree[x] for x in starts)  # the arcs of the root triangle
     return DualTree(n=n, root=Branch(left, right), root_side=(u, v))
 

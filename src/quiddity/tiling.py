@@ -70,7 +70,7 @@ def window_from_values(i0: int, j0: int, values) -> TilingWindow:
     _check_int(i0, "i0")
     _check_int(j0, "j0")
     rows = tuple(tuple(row) for row in values)
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
         raise NotAPositiveTilingError("window rows must be nonempty and rectangular")
     return TilingWindow(i0, i0 + len(rows) - 1, j0, j0 + len(rows[0]) - 1, rows)
 

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddity import eta, frieze, polygons, sl2, supplements
-from quiddity.errors import FRIEZE_LENGTH_CAP, InvalidSequenceError, NotQuiddityError
+from quiddity.errors import (FRIEZE_LENGTH_CAP, MATRIX_FRIEZE_CELL_CAP, InvalidSequenceError,
+                             NotQuiddityError)
 from strategies import quiddities, same_sum_sequences
 
 PATTERN_I = (4, 2, 1, 3, 2, 2, 1)
@@ -236,6 +237,22 @@ def test_matrix_frieze_rows_stop_at_the_depth():
     for depth in (-1, -4):
         with pytest.raises(InvalidSequenceError, match=f"got {depth}$"):
             frieze.generate_matrix_frieze_rows(-sl2.S, row1, depth)
+
+
+def test_largest_matrix_frieze_is_built_and_one_more_cell_is_refused(monkeypatch):
+    assert MATRIX_FRIEZE_CELL_CAP == 300_000
+    with pytest.raises(InvalidSequenceError, match="^matrix frieze of 10000000000 cells"):
+        frieze.generate_matrix_frieze_rows(-sl2.S, [sl2.S] * 10 ** 5, 10 ** 5 - 1)
+    monkeypatch.setattr(frieze, "MATRIX_FRIEZE_CELL_CAP", 20)
+    row1 = [sl2.u_pow(a) for a in (1, 2, 2, 1, 3)]
+    assert len(frieze.generate_matrix_frieze_rows(-sl2.S, row1, 3)) == 4  # 20 cells
+    assert len(frieze.generate_matrix_frieze((1, 3, 1, 3)).cells) == 5  # 20 cells
+    with pytest.raises(InvalidSequenceError, match="^matrix frieze of 25 cells, over the limit of 20$"):
+        frieze.generate_matrix_frieze_rows(-sl2.S, row1, 4)
+    with pytest.raises(InvalidSequenceError, match="^matrix frieze of 30 cells, over the limit of 20$"):
+        frieze.generate_matrix_frieze((1, 2, 3, 1, 2))  # rows 0..5 of 5 cells
+    with pytest.raises(InvalidSequenceError, match="at least 0, got -1$"):
+        frieze.generate_matrix_frieze_rows(-sl2.S, row1 * 10, -1)  # the depth is checked first
 
 
 @pytest.mark.parametrize("depth", [2.5, True, None])

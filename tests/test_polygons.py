@@ -426,10 +426,28 @@ def test_a_list_root_side_is_read_as_a_pair():
     assert polygons.bracket(tree) == polygons.bracket(polygons.to_dual_tree(t, root_side=(1, 2)))
 
 
-def test_a_crossing_is_reported_before_a_bad_root_side():
+MALFORMED_DIAGONALS = [5, [0, 2], (1, 2, 3), (0, 2.0), (True, 2), (2, 0), (0, 1), (-1, 2)]
+
+
+@given(diagonal_sets(), st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 11), st.sampled_from(MALFORMED_DIAGONALS)), max_size=2))
+def test_a_crossing_is_reported_before_a_bad_root_side(case, ordered, drop_one, junk):
     t = polygons.Triangulation(n=6, diagonals=((0, 2), (1, 3), (3, 5)))
     with pytest.raises(InvalidSequenceError, match=r"diagonals \(0, 2\) and \(1, 3\) cross"):
         polygons.to_dual_tree(t, root_side=(0, 2))
+    # every refusal of the diagonals comes first; a bad root side only after them
+    n, diagonals = case
+    diagonals = list(sorted(diagonals) if ordered else diagonals)
+    if drop_one:
+        diagonals.pop()
+    for at, d in junk:
+        diagonals.insert(at, d)
+    t = polygons.Triangulation(n=n, diagonals=tuple(diagonals))
+    expected = validation_message(t)
+    for side in [(0, 2), (1, n - 1), (0, 0), (n, 0), (-1, 0), (n - 1, n), (0,), (0, 1, 2),
+                 "a", 5, (0.0, 1.0), (True, False)]:
+        want = expected or f"{side!r} is not a polygon side"
+        assert raised_message(polygons.to_dual_tree, t, side) == want, side
 
 
 def test_triangles_of_a_malformed_set_raise():

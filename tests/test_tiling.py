@@ -88,9 +88,13 @@ def test_the_cell_limit_is_a_million_and_counts_only_real_windows():
     assert TILING_CELL_CAP == 1_000_000
     with pytest.raises(InvalidSequenceError, match="^window of 1002001 cells"):
         tiling.formula_window(-500, 500, -500, 500)
-    # both extents reversed: an empty window, not a large one
+    # both extents reversed, or one: an empty window, not a large one
     with pytest.raises(NotAPositiveTilingError, match="nonempty"):
         tiling.formula_window(0, -10 ** 6, 0, -10 ** 6)
+    with pytest.raises(NotAPositiveTilingError, match="nonempty"):
+        tiling.formula_window(0, 2, 3, 1)  # three rows of no cells
+    with pytest.raises(NotAPositiveTilingError, match="^window rows must be nonempty and rectangular$"):
+        tiling.window_from_values(0, 0, [[], []])
 
 
 def test_extension_row_below_core():

@@ -29,8 +29,8 @@ abbreviated option (``--met formula``) and ``-h`` with text glued on.
 import sys
 from types import SimpleNamespace  # loaded at interpreter start
 
-from .errors import (InconsistentFactorsError, InvalidSequenceError, NotAPositiveTilingError,
-                     NotQuiddityError)
+from .errors import (VERIFY_LENGTH_CAP, InconsistentFactorsError, InvalidSequenceError,
+                     NotAPositiveTilingError, NotQuiddityError)
 
 EXIT_OK, EXIT_DOMAIN, EXIT_USAGE = 0, 1, 2
 
@@ -52,6 +52,9 @@ def cmd_verify(args):
     from . import eta, similarity
 
     seq = eta.parse_sequence(args.sequence)
+    if len(seq) > VERIFY_LENGTH_CAP:  # the orbit pass grows faster than n
+        raise InvalidSequenceError(
+            f"sequence of {len(seq)} entries, over the limit of {VERIFY_LENGTH_CAP}")
     valid = eta.is_eta(seq)
     report = {"sequence": list(seq), "is_quiddity": valid, "n": len(seq),
               "period": None, "category": None, "canon": None, "orbit_size": None}

@@ -17,7 +17,9 @@ unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
 entries, an S/T normal form of more than NORMAL_FORM_LETTER_CAP letters, a
 frieze of more than FRIEZE_LENGTH_CAP entries, a matrix frieze of more
 than MATRIX_FRIEZE_CELL_CAP cells and a tiling window of more than
-TILING_CELL_CAP cells are refused before they are built.
+TILING_CELL_CAP cells are refused before they are built, and the CLI's
+``verify`` refuses a sequence of more than VERIFY_LENGTH_CAP entries
+before it tests it.
 """
 
 
@@ -43,6 +45,10 @@ NORMAL_FORM_LETTER_CAP = 100_000
 # 195 MB), and a 1000 x 1000 tiling --formula-paper window 0.5-0.7 s and 81 MB.
 FRIEZE_LENGTH_CAP = 1000
 TILING_CELL_CAP = 1_000_000
+# verify's orbit pass slices a rotation per least entry: with a 1 at every
+# other entry (the fan with an ear on every side), a verify process of 10 000
+# entries takes 0.35-0.45 s, of 20 000 1.5 s and of 50 000 8 s (Python 3.11).
+VERIFY_LENGTH_CAP = 10_000
 # A matrix frieze holds one Mat2 per cell: the fan of 400 entries (160 400
 # cells) takes 0.2 s and 26 MB as a process, of 550 entries (303 050 cells)
 # 0.5 s and 44 MB, and of 1000 entries 2.1 s and 150 MB (Python 3.11).

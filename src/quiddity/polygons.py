@@ -30,13 +30,14 @@ A given triangulation is read by ``to_dual_tree``: one loop checks each
 diagonal (a tuple, a pair, int vertices, in range and sorted, not a side,
 not a duplicate) as it buckets it by its larger end, then one pass over
 the sides joins the top two subtrees at each chord's larger end, as a
-bracket is parsed; a chord that does not start where the lower arc starts
-crosses another.  Refusals come in that order, with the n-3 count between
-the two passes and a bad root side last.  ``validate_triangulation`` is
-this reading with the tree thrown away, ``triangles`` reads the tree's
-Euler tour, and ``to_quiddity`` counts the diagonals at each vertex.  The
-other direction, ``from_quiddity``, is the linear ear clipper of
-:mod:`quiddity.eta`.
+bracket is parsed, and the root side, bucketed as the last chord, joins
+the root triangle like every other; a chord that does not start where the
+lower arc starts crosses another.  Refusals come in that order, with the
+n-3 count between the two passes and a bad root side last.
+``validate_triangulation`` is this reading with the tree thrown away,
+``triangles`` reads the tree's Euler tour, and ``to_quiddity`` its run
+counts (``tree_quiddity``).  The other direction, ``from_quiddity``, is the
+linear ear clipper of :mod:`quiddity.eta`.
 """
 
 import itertools
@@ -87,13 +88,8 @@ def triangles(t: Triangulation):
 
 
 def to_quiddity(t: Triangulation) -> tuple:
-    """Per-vertex incident-triangle counts: one more than the diagonals at the vertex."""
-    validate_triangulation(t)
-    counts = [1] * t.n
-    for u, v in t.diagonals:
-        counts[u] += 1
-        counts[v] += 1
-    return tuple(counts)
+    """Per-vertex incident-triangle counts: the run counts of the dual tree at side a."""
+    return tree_quiddity(to_dual_tree(t))
 
 
 def from_quiddity(entries) -> Triangulation:
@@ -162,7 +158,9 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
 
     One loop checks each diagonal, in input order, as it buckets it; then
     come the n-3 count, a crossing in the stack pass and, last, a bad root
-    side, which is read as side a until then.
+    side, which is read as side a until then.  The root side is bucketed
+    as the chord (0, n-1), so the stack pass joins the root triangle last
+    and leaves the whole tree at vertex 0.
     """
     n = t.n
     _check_int(n, "polygon size")
@@ -207,12 +205,14 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
         )
     for ends in closing.values():  # innermost (largest x) first
         ends.sort(reverse=True)
+    closing.setdefault(n - 1, []).append(0)  # the root side, joined last
     # One pass over the sides (y-1, y) keeps the arcs that partition 0..y as
     # a stack of their first vertices, and the subtree of each arc.  Once the
     # chords inside (x, y) are joined, the top two arcs are the arcs (x, w)
     # and (w, y) of the triangle on the chord (x, y), so the lower arc starts
     # at x.  If it does not, the set is no triangulation, and n - 3 distinct
-    # diagonals that are no triangulation cross.
+    # diagonals that are no triangulation cross.  Their n - 3 joins leave
+    # two arcs, so the root side's join always finds its lower arc at 0.
     subtree = [Leaf(i) for i in range(n - 1)]
     starts = []
     for y in range(1, n):
@@ -224,8 +224,7 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
             subtree[x] = Branch(subtree[x], subtree[w])
     if not side_ok:
         raise InvalidSequenceError(f"{root_side!r} is not a polygon side")
-    left, right = (subtree[x] for x in starts)  # the arcs of the root triangle
-    return DualTree(n=n, root=Branch(left, right), root_side=(u, v))
+    return DualTree(n=n, root=subtree[0], root_side=(u, v))
 
 
 def _tour(tree: DualTree):

@@ -83,6 +83,24 @@ def test_verify_usage_error(capsys):
     assert "at least 3 entries" in err
 
 
+def test_longest_sequence_is_verified_and_one_more_entry_is_refused(capsys, monkeypatch):
+    from quiddity import eta
+
+    monkeypatch.setattr(cli, "VERIFY_LENGTH_CAP", 12)
+    code, out, _ = run(capsys, "verify", "6,1,3,1,4,1,4,1,4,1,3,1")  # a 1 at every other entry
+    assert code == 0
+    assert out.startswith("is_quiddity: true\nn: 12\n")
+
+    def refuse(seq):
+        raise AssertionError("is_eta ran on a sequence over the limit")
+
+    monkeypatch.setattr(eta, "is_eta", refuse)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", ",".join(["1"] * 13), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: sequence of 13 entries, over the limit of 12\n"
+
+
 def test_frieze_pattern(capsys):
     code, out, _ = run(capsys, "frieze", "4,2,1,3,2,2,1")
     assert code == 0

@@ -46,6 +46,7 @@ FACTOR_FILES = {
 
 FAN_12 = "10," + ",".join(["1"] + ["2"] * 9 + ["1"])
 FAN_1001 = "999," + ",".join(["1"] + ["2"] * 998 + ["1"])  # one entry past the frieze limit
+ONES_10001 = ",".join(["1"] * 10_001)  # one entry past the verify limit
 SEED_FILES = ["--kfile", "k.json", "--lfile", "l.json"]
 
 CASES = [
@@ -67,6 +68,7 @@ CASES = [
     ["verify", ""],
     ["verify"],
     ["verify", "1,1,1", "--format", "dot"],
+    ["verify", ONES_10001],
     ["verify", "--help"],
     # frieze
     ["frieze", "4,2,1,3,2,2,1"],

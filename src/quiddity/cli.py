@@ -29,8 +29,8 @@ abbreviated option (``--met formula``) and ``-h`` with text glued on.
 import sys
 from types import SimpleNamespace  # loaded at interpreter start
 
-from .errors import (VERIFY_LENGTH_CAP, InconsistentFactorsError, InvalidSequenceError,
-                     NotAPositiveTilingError, NotQuiddityError)
+from .errors import (FORMULA_COUNT_N_CAP, VERIFY_LENGTH_CAP, InconsistentFactorsError,
+                     InvalidSequenceError, NotAPositiveTilingError, NotQuiddityError, check_limit)
 
 EXIT_OK, EXIT_DOMAIN, EXIT_USAGE = 0, 1, 2
 
@@ -52,9 +52,8 @@ def cmd_verify(args):
     from . import eta, similarity
 
     seq = eta.parse_sequence(args.sequence)
-    if len(seq) > VERIFY_LENGTH_CAP:  # the orbit pass grows faster than n
-        raise InvalidSequenceError(
-            f"sequence of {len(seq)} entries, over the limit of {VERIFY_LENGTH_CAP}")
+    # the orbit pass grows faster than n
+    check_limit(len(seq), VERIFY_LENGTH_CAP, "sequence of {} entries")
     valid = eta.is_eta(seq)
     report = {"sequence": list(seq), "is_quiddity": valid, "n": len(seq),
               "period": None, "category": None, "canon": None, "orbit_size": None}
@@ -81,6 +80,8 @@ def cmd_frieze(args):
 
 
 def cmd_count(args):
+    if args.method == "formula":  # the library's count_types is unbounded
+        check_limit(args.n, FORMULA_COUNT_N_CAP, "formula count at n={}")
     from . import similarity
 
     k = similarity.count_types(args.n, method=args.method, cap=args.cap)

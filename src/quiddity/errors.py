@@ -13,13 +13,18 @@ formatted only on refusal, so a check in a loop costs one call.
 Every exhaustive sweep of the package runs only for 3 <= n <= SWEEP_CAP
 unless its ``cap=`` argument (the CLI's ``--cap``) raises the cap;
 ``check_sweep`` is the one range check, here so that no sweep loads
-:mod:`quiddity.polygons` for it.  A supplement of more than SUPPLEMENT_CAP
-entries, an S/T normal form of more than NORMAL_FORM_LETTER_CAP letters, a
-frieze of more than FRIEZE_LENGTH_CAP entries, a matrix frieze of more
-than MATRIX_FRIEZE_CELL_CAP cells and a tiling window of more than
-TILING_CELL_CAP cells are refused before they are built, and the CLI's
-``verify`` refuses a sequence of more than VERIFY_LENGTH_CAP entries
-before it tests it.
+:mod:`quiddity.polygons` for it.
+
+Every other size limit is one call of ``check_limit``, the one rule and
+the one message form: an S/T normal form of more than
+NORMAL_FORM_LETTER_CAP letters, a frieze of more than FRIEZE_LENGTH_CAP
+entries, a matrix frieze of more than MATRIX_FRIEZE_CELL_CAP cells, a
+tiling window of more than TILING_CELL_CAP cells and the perfect
+tri-partitions of an n above TRIPARTITION_N_CAP are refused before they
+are built, and the CLI refuses a ``verify`` of more than
+VERIFY_LENGTH_CAP entries and a formula ``count`` of an n above
+FORMULA_COUNT_N_CAP before it computes anything.  A supplement of more
+than SUPPLEMENT_CAP entries keeps its own sentence.
 """
 
 
@@ -31,6 +36,12 @@ def _check_int(value, what: str, *where) -> None:
     """Refuse a value that is not exactly an int, naming it ``what.format(*where)``."""
     if type(value) is not int:
         raise InvalidSequenceError(f"{what.format(*where)} must be an int, got {value!r}")
+
+
+def check_limit(size: int, limit: int, what: str) -> None:
+    """Refuse a size above ``limit``, naming it ``what.format(size)`` only on refusal."""
+    if size > limit:
+        raise InvalidSequenceError(f"{what.format(size)}, over the limit of {limit}")
 
 
 SWEEP_CAP = 14  # largest n of an exhaustive sweep unless cap= raises it
@@ -53,6 +64,15 @@ VERIFY_LENGTH_CAP = 10_000
 # cells) takes 0.2 s and 26 MB as a process, of 550 entries (303 050 cells)
 # 0.5 s and 44 MB, and of 1000 entries 2.1 s and 150 MB (Python 3.11).
 MATRIX_FRIEZE_CELL_CAP = 300_000
+# The formula count spends nearly all its time in the math.comb behind
+# C_{n-2}, about n^1.7: as CLI processes, count --n 50000 takes 0.4-0.5 s,
+# 100 000 0.85-1.0 s, and K_200 000 2.8 s (Python 3.11, python -c pass
+# 0.05-0.08 s).  Checked by the CLI only; count_types itself is unbounded.
+FORMULA_COUNT_N_CAP = 100_000
+# perfect_tripartitions builds about n^2/48 tuples: as processes, n = 3000
+# (187 501) takes 0.34 s and 41 MB, 5000 (520 834) 0.9 s and 89 MB, 6000
+# (750 001) 1.3-1.5 s and 123 MB (Python 3.11).
+TRIPARTITION_N_CAP = 5000
 
 
 def check_sweep(n: int, cap: int = None) -> None:

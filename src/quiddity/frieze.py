@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from . import eta
 from .errors import (FRIEZE_LENGTH_CAP, MATRIX_FRIEZE_CELL_CAP, InvalidSequenceError,
-                     NotQuiddityError, _check_int)
+                     NotQuiddityError, _check_int, check_limit)
 
 
 class FriezeWindow(namedtuple("FriezeWindow", "n rows")):
@@ -61,8 +61,7 @@ def generate_frieze(entries) -> FriezeWindow:
     """
     seq = eta.as_sequence(entries)
     n = len(seq)
-    if n > FRIEZE_LENGTH_CAP:
-        raise InvalidSequenceError(f"frieze of {n} entries, over the limit of {FRIEZE_LENGTH_CAP}")
+    check_limit(n, FRIEZE_LENGTH_CAP, "frieze of {} entries")
     rows = [(0,) * n, (1,) * n, seq]
 
     def glide(k):  # the image of row n - k, a candidate for row k
@@ -104,7 +103,12 @@ def continuant(entries) -> int:
     S*U^x_1*S*...*U^x_k*S, read off the word kernel ``eta._word_product``:
     its step b <- a + b*x with a <- -b is the three-term recurrence
     K(x_1..x_k) = x_k * K(x_1..x_{k-1}) - K(x_1..x_{k-2}), with K() = 1.
+    Entries of any sign are taken; one that is not exactly an int raises
+    InvalidSequenceError.
     """
+    entries = tuple(entries)
+    for x in entries:
+        _check_int(x, "continuant entry")
     return eta._word_product(entries, (0, 1, -1, 0))[1]
 
 
@@ -153,9 +157,7 @@ def generate_matrix_frieze_rows(row0, row1, depth: int):
         raise InvalidSequenceError(f"matrix frieze depth must be at least 0, got {depth}")
     row1 = tuple(row1)
     n = len(row1)
-    if (depth + 1) * n > MATRIX_FRIEZE_CELL_CAP:
-        raise InvalidSequenceError(f"matrix frieze of {(depth + 1) * n} cells, "
-                                   f"over the limit of {MATRIX_FRIEZE_CELL_CAP}")
+    check_limit((depth + 1) * n, MATRIX_FRIEZE_CELL_CAP, "matrix frieze of {} cells")
     e, f, g, h = row0.entries()
     factors = [sl2.mul(m.entries(), (h, -f, -g, e)) for m in row1]
     rows = [(row0,) * n, row1]

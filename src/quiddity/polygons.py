@@ -40,7 +40,6 @@ counts (``tree_quiddity``).  The other direction, ``from_quiddity``, is the
 linear ear clipper of :mod:`quiddity.eta`.
 """
 
-import itertools
 from collections import namedtuple
 
 from . import eta
@@ -57,12 +56,36 @@ class Triangulation(namedtuple("Triangulation", "n diagonals")):
         return {"n": self.n, "diagonals": [list(d) for d in self.diagonals]}
 
 
-def _raise_first_crossing(diagonals) -> None:
-    """Name the first crossing pair (i < j) in the given order; some pair crosses."""
-    for d1, d2 in itertools.combinations(diagonals, 2):
-        (a, b), (c, d) = d1, d2
-        if a < c < b < d or c < a < d < b:
-            raise InvalidSequenceError(f"diagonals {d1} and {d2} cross")
+def _raise_first_crossing(diagonals, n: int) -> None:
+    """Name the first crossing pair (i < j) in the given order; some pair crosses.
+
+    The first of the pair is the first diagonal that crosses any other, and
+    the second is the first that crosses it.  A diagonal (x, y) crosses
+    another exactly when one starting strictly inside (x, y) ends past y,
+    or one ending strictly inside starts before x: two sparse tables over
+    the vertices, of the farthest end and of the nearest start, answer
+    both in O(1), so the search takes O(n log n), not a scan of all pairs.
+    """
+    far, near = [-1] * n, [n] * n  # per vertex, of the diagonals starting or ending there
+    for x, y in diagonals:
+        far[x], near[y] = max(far[x], y), min(near[y], x)
+    fars, nears = [far], [near]  # level k: the extreme over vertices v..v + 2^k - 1
+    span = 1
+    while 2 * span <= n:
+        f, m = fars[-1], nears[-1]
+        fars.append([max(a, b) for a, b in zip(f, f[span:])])
+        nears.append([min(a, b) for a, b in zip(m, m[span:])])
+        span *= 2
+
+    def crosses_any(x, y):  # the vertices x + 1..y - 1 hold two ranges of 2^k
+        k = (y - x - 1).bit_length() - 1
+        top = y - 2 ** k
+        return (max(fars[k][x + 1], fars[k][top]) > y
+                or min(nears[k][x + 1], nears[k][top]) < x)
+
+    a, b = first = next(d for d in diagonals if crosses_any(*d))
+    second = next(d for d in diagonals if a < d[0] < b < d[1] or d[0] < a < d[1] < b)
+    raise InvalidSequenceError(f"diagonals {first} and {second} cross")
 
 
 def validate_triangulation(t: Triangulation) -> None:
@@ -220,7 +243,7 @@ def to_dual_tree(t: Triangulation, root_side=None) -> DualTree:
         for x in closing.get(y, ()):
             w = starts.pop()
             if starts[-1] != x:
-                _raise_first_crossing(t.diagonals)
+                _raise_first_crossing(t.diagonals, n)
             subtree[x] = Branch(subtree[x], subtree[w])
     if not side_ok:
         raise InvalidSequenceError(f"{root_side!r} is not a polygon side")

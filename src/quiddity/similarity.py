@@ -54,7 +54,7 @@ import math
 from collections import namedtuple
 
 from . import eta
-from .errors import _check_int, check_sweep
+from .errors import TRIPARTITION_N_CAP, _check_int, check_limit, check_sweep
 
 DEGENERATE = (0, 0)
 
@@ -193,8 +193,11 @@ def perfect_tripartitions(n: int):
     i <= m - 1 (which forces k >= 2); n = 2m+1: every triple with i <= m
     (which forces k >= 1).  Cases: A central diameter, B degenerate arm
     k = 1 for i = j = m, then C/D/E/F by the equality pattern of i, j, k.
+    The list holds about n^2/48 triples, so an n above TRIPARTITION_N_CAP
+    raises InvalidSequenceError before any is built.
     """
     _check_n(n)
+    check_limit(n, TRIPARTITION_N_CAP, "perfect tri-partitions of n={}")
     out = [TriPartition(n // 2, n // 2, 0, "A")] if n % 2 == 0 else []
     for i in range((n - 1) // 2, 0, -1):  # the largest arc below n/2 first
         for j in range(min(i, n - i - 1), 0, -1):

@@ -31,7 +31,8 @@ the one 2x2 product: ``Mat2``'s ``@`` and ``**`` run on it too.
 
 from collections import namedtuple
 
-from .errors import NORMAL_FORM_LETTER_CAP, InvalidSequenceError, NotUnimodularError, _check_int
+from .errors import (NORMAL_FORM_LETTER_CAP, InvalidSequenceError, NotUnimodularError, _check_int,
+                     check_limit)
 from .eta import _word_product as word_product
 
 
@@ -265,9 +266,6 @@ def ts_normal_form(m: Mat2) -> TSNormalForm:
             c, d = c - q * a, d - q * b
             runs.append((2, q))
     size = (b0 > 0) + 2 * sum(q for _, q in runs) + b1
-    if size > NORMAL_FORM_LETTER_CAP:
-        raise InvalidSequenceError(
-            f"normal form needs {size} S/T letters, over the limit of {NORMAL_FORM_LETTER_CAP}"
-        )
+    check_limit(size, NORMAL_FORM_LETTER_CAP, "normal form needs {} S/T letters")
     exponents = tuple(e for e, q in runs for _ in range(q))
     return TSNormalForm(sign=sign, b0=b0, exponents=exponents, b1=b1)

@@ -34,7 +34,7 @@ needs checking afterwards, so seeds and factors must be ints.
 from collections import namedtuple
 
 from .errors import (TILING_CELL_CAP, InconsistentFactorsError, InvalidSequenceError,
-                     NotAPositiveTilingError, _check_int)
+                     NotAPositiveTilingError, _check_int, check_limit)
 
 
 class TilingWindow(namedtuple("TilingWindow", "i0 i1 j0 j1 values")):
@@ -100,8 +100,7 @@ def _check_bounds(i0, i1, j0, j1) -> None:
     for name, x in zip(("i0", "i1", "j0", "j1"), (i0, i1, j0, j1)):
         _check_int(x, name)
     cells = max(i1 - i0 + 1, 0) * max(j1 - j0 + 1, 0)
-    if cells > TILING_CELL_CAP:
-        raise InvalidSequenceError(f"window of {cells} cells, over the limit of {TILING_CELL_CAP}")
+    check_limit(cells, TILING_CELL_CAP, "window of {} cells")
 
 
 def extract_factors(window: TilingWindow) -> FactorVectors:

@@ -166,6 +166,25 @@ def test_count_prints_k_past_the_int_digit_limit(capsys):
     assert huge_n[0] == 2 and "argument --n: invalid int value" in huge_n[2]
 
 
+def test_largest_formula_count_is_answered_and_one_more_n_is_refused(capsys, monkeypatch):
+    from quiddity import similarity
+
+    monkeypatch.setattr(cli, "FORMULA_COUNT_N_CAP", 10)
+    assert run(capsys, "count", "--n", "10") == (0, "K=82\n", "")
+
+    def refuse(*args):
+        raise AssertionError("a Catalan number was computed for an n over the limit")
+
+    monkeypatch.setattr(similarity, "catalan", refuse)
+    monkeypatch.setattr(similarity, "_closed_sum", refuse)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "count", "--n", "11", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: formula count at n=11, over the limit of 10\n"
+    # the limit bounds the formula only; the brute count keeps its own cap
+    assert run(capsys, "count", "--n", "11", "--method", "brute") == (0, "K=228\n", "")
+
+
 def test_count_over_cap(capsys):
     code, _, err = run(capsys, "count", "--n", "15", "--method", "brute")
     assert code == 2

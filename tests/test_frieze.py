@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -96,10 +97,18 @@ def test_formal_row_above_zero_row():
     assert (zero * zero - 1) // one == -1
 
 
-@pytest.mark.parametrize("seq", [(), (5,), (2, 1)])
+@pytest.mark.parametrize("seq", [(), (5,), (2, 1), (-3, 2), (0, 0)])
 def test_continuant_base_cases(seq):
-    expected = {(): 1, (5,): 5, (2, 1): 1}[seq]
+    expected = {(): 1, (5,): 5, (2, 1): 1, (-3, 2): -7, (0, 0): -1}[seq]
     assert frieze.continuant(seq) == expected
+
+
+@pytest.mark.parametrize("seq", [[1.5], [True], [2, False], [2, "1"], [3, None]])
+def test_continuant_refuses_an_entry_that_is_not_an_int(seq):
+    bad = seq[-1]
+    with pytest.raises(InvalidSequenceError,
+                       match=rf"^continuant entry must be an int, got {re.escape(repr(bad))}$"):
+        frieze.continuant(seq)
 
 
 def test_continuant_matches_tridiagonal_determinant():

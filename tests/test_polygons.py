@@ -308,6 +308,19 @@ def test_crossing_message_names_the_first_pair():
     assert validation_message(t) == "diagonals (2, 6) and (1, 4) cross"
 
 
+@pytest.mark.parametrize("n", [300, 10_000])
+@pytest.mark.parametrize("flip_first", [False, True])
+def test_a_crossing_pair_given_last_is_named_in_a_large_fan(n, flip_first):
+    # the fan at 0 less (0, 2), with (0, m) and its flip (m - 1, m + 1) moved to the end
+    m = n // 2
+    pair = [(0, m), (m - 1, m + 1)][::-1 if flip_first else 1]
+    diagonals = tuple([(0, k) for k in range(3, n - 1) if k != m] + pair)
+    expected = f"diagonals {pair[0]} and {pair[1]} cross"
+    if n < 1000:  # the pairwise scan is quadratic
+        assert pairwise_crossing_message(diagonals) == expected
+    assert validation_message(polygons.Triangulation(n=n, diagonals=diagonals)) == expected
+
+
 def first_apex_triangles(t):
     """Reference: triangles by trying every apex on each chord, lowest first."""
     chords = set(t.diagonals)

@@ -403,6 +403,22 @@ def test_catalan_refuses_a_non_int(k):
         catalan(k)
 
 
+def test_largest_tripartition_list_is_built_and_one_more_n_is_refused(monkeypatch):
+    monkeypatch.setattr(similarity, "TRIPARTITION_N_CAP", 12)
+    assert len(perfect_tripartitions(12)) == 4
+
+    def refuse(*args):
+        raise AssertionError("a tri-partition was built for an n over the limit")
+
+    monkeypatch.setattr(similarity, "TriPartition", refuse)
+    monkeypatch.setattr(similarity, "_tripartition", refuse)
+    for n in (13, 14):  # odd and even, the even one would open with case A
+        with pytest.raises(InvalidSequenceError,
+                           match=rf"^perfect tri-partitions of n={n}, over the limit of 12$"):
+            perfect_tripartitions(n)
+    assert count_types(13) == 2282  # the closed sum builds no tri-partition
+
+
 @pytest.mark.parametrize("call", ["count_TSA", "perfect_tripartitions", "count_types(formula)"])
 def test_one_message_below_3_without_a_sweep(call):
     with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
